@@ -3,76 +3,79 @@
 A subset of an n-element universe is a mask in [0, 2^n); a family of
 subsets is a key in [0, 2^(2^n)) whose bit ``s`` says that the subset
 with mask ``s`` is a member.  For n <= 4 whole collections of families
-fit in arrays of 65536 entries, which makes exhaustive axiom sweeps
-cheap when expressed as per-bit passes.
+fit in arrays of 65536 entries over m = 2^n subset slots.
+
+Every exhaustive pass over such an array is one sweep: for each bit t,
+``_halves`` pairs each key without bit t (``lo``) with the key that adds
+it (``hi``), as two views of the same array.  Pushing ``lo`` into ``hi``
+over all bits is the subset-sum (zeta) transform of Yates (1937), which
+gathers over submasks (``or_has_submask``); pushing ``hi`` into ``lo``
+is its mirror, which gathers over supermasks (``down_closure``).  One
+step in either direction compares a key with its one-bit neighbours
+(``maximal_keys``, ``minimal_keys``); a constant per bit folds a value
+over a key's members (``fold_or``, ``fold_and``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-MAX_SLOTS = 16  # subset slots; universes of up to 4 elements get full tables
 
-
-@lru_cache(maxsize=None)
-def _indices(m: int) -> np.ndarray:
-    return np.arange(1 << m, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _has_bit(m: int, t: int) -> np.ndarray:
-    return (_indices(m) >> t & 1).astype(bool)
+def _halves(a: np.ndarray, m: int):
+    """For each bit t < m, views (lo, hi) of ``a`` over the keys without
+    and with bit t, paired by ``key ^ (1 << t)``.  Kernels write only
+    into arrays they allocated, so the views always alias ``a``."""
+    for t in range(m):
+        v = a.reshape(-1, 2, 1 << t)
+        yield v[:, 0], v[:, 1]
 
 
 def fold_or(m: int, values: list[int]) -> np.ndarray:
     """out[F] = OR of values[t] over bits t of F (0 for F = 0)."""
     out = np.zeros(1 << m, dtype=np.int64)
-    for t in range(m):
-        sel = _has_bit(m, t)
-        out[sel] |= values[t]
+    for value, (_, hi) in zip(values, _halves(out, m), strict=True):
+        hi |= value
     return out
 
 
 def fold_and(m: int, values: list[int], init: int) -> np.ndarray:
     """out[F] = AND of values[t] over bits t of F (init for F = 0)."""
     out = np.full(1 << m, init, dtype=np.int64)
-    for t in range(m):
-        sel = _has_bit(m, t)
-        out[sel] &= values[t]
+    for value, (_, hi) in zip(values, _halves(out, m), strict=True):
+        hi &= value
     return out
 
 
 def or_has_submask(flag: np.ndarray, m: int) -> np.ndarray:
     """g[U] = any(flag[V] for V submask of U), by the subset-sum sweep."""
     g = flag.copy()
-    idx = _indices(m)
-    for t in range(m):
-        sel = _has_bit(m, t)
-        g[sel] |= g[idx[sel] ^ (1 << t)]
+    for lo, hi in _halves(g, m):
+        hi |= lo
     return g
+
+
+def down_closure(keys, m: int) -> np.ndarray:
+    """Boolean table of every submask of the given keys."""
+    table = np.zeros(1 << m, dtype=bool)
+    table[keys] = True
+    for lo, hi in _halves(table, m):
+        lo |= hi
+    return table
 
 
 def maximal_keys(member: np.ndarray, m: int) -> np.ndarray:
     """Boolean mask of members with no one-bit-larger member."""
-    idx = _indices(m)
     dominated = np.zeros_like(member)
-    for t in range(m):
-        sel = ~_has_bit(m, t)
-        bigger = member[idx[sel] | (1 << t)]
-        dominated[sel] |= bigger
+    for (lo, _), (_, bigger) in zip(_halves(dominated, m), _halves(member, m)):
+        lo |= bigger
     return member & ~dominated
 
 
 def minimal_keys(flag: np.ndarray, m: int) -> np.ndarray:
     """Boolean mask of flagged keys with no one-bit-smaller flagged key."""
-    idx = _indices(m)
     dominated = np.zeros_like(flag)
-    for t in range(m):
-        sel = _has_bit(m, t)
-        smaller = flag[idx[sel] ^ (1 << t)]
-        dominated[sel] |= smaller
+    for (_, hi), (smaller, _) in zip(_halves(dominated, m), _halves(flag, m)):
+        hi |= smaller
     return flag & ~dominated
 
 

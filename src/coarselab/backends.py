@@ -29,9 +29,12 @@ from .structures import (
     ExplicitLSR,
     ExplicitNearness,
     ExplicitProximity,
+    _slots,
+    bounded_mask,
     discrete_closure,
     is_ls_regular,
     lsr_lambda_blocks,
+    upset_table,
 )
 from .verdict import TriVerdict
 
@@ -80,15 +83,7 @@ class FiniteBackend(LSRBackend):
         return TriVerdict.no(family=str(sets))
 
     def bounded_mask(self) -> int:
-        table = self.member_table()
-        out = 1
-        m = 1 << self.universe.size
-        for s in range(1, m):
-            for x in range(self.universe.size):
-                if table[bo.masks_to_key([s, 1 << x])]:
-                    out |= 1 << s
-                    break
-        return out
+        return bounded_mask(self.member_table(), self.universe.size)
 
     def bounded(self, s: Subset) -> TriVerdict:
         if s.is_empty:
@@ -132,6 +127,7 @@ class PartitionCoarseBackend(FiniteBackend):
 
     def __init__(self, universe: Universe, blocks: Sequence[int]):
         self.universe = universe
+        self.slots = _slots(universe)
         full = (1 << universe.size) - 1
         if sum(blocks) != full or any(b1 & b2 for b1, b2 in itertools.combinations(blocks, 2)):
             raise ValueError("blocks must partition the universe")
@@ -152,7 +148,7 @@ class PartitionCoarseBackend(FiniteBackend):
 
     def member_table(self) -> np.ndarray:
         if self._table is None:
-            m = 1 << self.universe.size
+            m = self.slots
             sats = [self.saturation(s) for s in range(m)]
             need = bo.fold_and(m, sats, (1 << self.universe.size) - 1)
             un = bo.fold_or(m, list(range(m)))
@@ -180,12 +176,7 @@ class FromASRBackend(FiniteBackend):
 
     def member_table(self) -> np.ndarray:
         if self._table is None:
-            m = self.asr.slots
-            table = np.zeros(1 << m, dtype=bool)
-            for block in self.asr.blocks():
-                for key in bo.submasks(block):
-                    table[key] = True
-            self._table = table
+            self._table = bo.down_closure(self.asr.blocks(), self.asr.slots)
         return self._table
 
     def to_explicit(self) -> ExplicitLSR:
@@ -466,26 +457,10 @@ def induced_nearness(
     inter = bo.fold_and(m, [cl[s] for s in range(m)], (1 << universe.size) - 1)
     near = inter != 0
 
-    table = backend.member_table()
-    ub_mask = ((1 << m) - 1) & ~backend.bounded_mask()
-    sup_masks = [0] * m
-    for s in range(m):
-        for t in range(m):
-            if s & ~t == 0:
-                sup_masks[s] |= 1 << t
-    upsets = set()
-    for key in np.nonzero(table)[0]:
-        key = int(key)
-        if key and key & ~ub_mask == 0:
-            up = 0
-            for s in bo.bits(key):
-                up |= sup_masks[s]
-            upsets.add(up)
-    # keep only maximal upsets; anything below them is covered
-    upsets = [u for u in upsets if not any(u != v and u & ~v == 0 for v in upsets)]
-    idx = bo._indices(m)
-    for up in upsets:
-        near |= (idx & ~up) == 0
+    # the families a member family refines into are those inside its upset
+    members = np.flatnonzero(backend.member_table())
+    refiners = members[(members & backend.bounded_mask()) == 0]
+    near |= bo.down_closure(upset_table(m)[refiners], m)
     return ExplicitNearness(universe, [int(k) for k in np.nonzero(near)[0]], cl)
 
 
@@ -746,9 +721,5 @@ def regularize(c: ExplicitLSR) -> ExplicitLSR:
     regular, witness = is_ls_regular(c)
     if not regular:
         raise ValueError(f"collection is not regular: witness {witness}")
-    blocks = lsr_lambda_blocks(c)
-    keys: set[int] = set()
-    for block in blocks:
-        for key in bo.submasks(block):
-            keys.add(key)
-    return ExplicitLSR(c.universe, keys)
+    keys = bo.down_closure(lsr_lambda_blocks(c), c.slots)
+    return ExplicitLSR(c.universe, np.flatnonzero(keys).tolist())

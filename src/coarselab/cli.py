@@ -324,7 +324,6 @@ def main(argv=None) -> int:
         p.add_argument("--scale", type=int, default=None)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=None)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
     pm = sub.add_parser("mine")

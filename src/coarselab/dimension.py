@@ -385,9 +385,7 @@ def asdim_explicit(b: FiniteBackend) -> AsdimReport:
     size = 1 << slots
     idx = np.arange(size, dtype=np.int64)
 
-    union = np.zeros(size, dtype=np.int64)
-    for s in range(1, m):
-        union[(idx >> (s - 1) & 1) == 1] |= s
+    union = bo.fold_or(slots, list(range(1, m)))
 
     member_table = b.member_table()
     tkey = np.zeros(size, dtype=np.int64)
@@ -401,25 +399,16 @@ def asdim_explicit(b: FiniteBackend) -> AsdimReport:
     t_ok = member_table[tkey]
     t_ok[0] = True  # empty subfamily is outside the quantifier
 
-    ub = t_ok.copy()
-    for t in range(slots):
-        sel = (idx >> t & 1) == 1
-        ub[sel] &= ub[idx[sel] ^ (1 << t)]
+    ub = ~bo.or_has_submask(~t_ok, slots)
 
     full = m - 1
     is_cover = union == full
     ub_covers = ub & is_cover
 
-    down = np.zeros(size, dtype=np.int64)
-    sub_bits = []
-    for s in range(1, m):
-        bitsmask = 0
-        for a in range(1, m):
-            if a & ~s == 0:
-                bitsmask |= 1 << (a - 1)
-        sub_bits.append(bitsmask)
-    for s in range(1, m):
-        down[(idx >> (s - 1) & 1) == 1] |= sub_bits[s - 1]
+    sub_bits = [
+        sum(1 << (a - 1) for a in range(1, m) if a & ~s == 0) for s in range(1, m)
+    ]
+    down = bo.fold_or(slots, sub_bits)
 
     mult = np.zeros(size, dtype=np.int64)
     for x in range(n_pts):

@@ -92,6 +92,17 @@ def _subset_str(universe: Universe, mask: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def bounded_mask(table: np.ndarray, n: int) -> int:
+    """Mask over the subset slots of an n-point universe: bit s set iff
+    the subset s is bounded, i.e. some family {s, {x}} is in the member
+    table.  The empty subset is bounded by definition."""
+    out = 1
+    for s in range(1, 1 << n):
+        if any(table[bo.masks_to_key([s, 1 << x])] for x in range(n)):
+            out |= 1 << s
+    return out
+
+
 class ExplicitLSR:
     """Materialized collection of alike-in-large-scale subset families.
 
@@ -109,18 +120,13 @@ class ExplicitLSR:
         self._table: np.ndarray | None = None
 
     @classmethod
-    def from_generators(
-        cls, universe: Universe, generators: Iterable[Family], cap: int = 1 << 20
-    ) -> "ExplicitLSR":
-        keys: set[int] = set()
+    def from_generators(cls, universe: Universe, generators: Iterable[Family]) -> "ExplicitLSR":
+        keys = []
         for fam in generators:
             if fam.universe != universe:
                 raise ValueError("generator family over a different universe")
-            for sub in bo.submasks(fam.mask_key()):
-                keys.add(sub)
-                if len(keys) > cap:
-                    raise CapExceeded(f"materialized collection exceeds cap {cap}")
-        return cls(universe, keys)
+            keys.append(fam.mask_key())
+        return cls(universe, np.flatnonzero(bo.down_closure(keys, _slots(universe))).tolist())
 
     def table(self) -> np.ndarray:
         if self._table is None:
@@ -128,9 +134,6 @@ class ExplicitLSR:
             t[list(self.keys)] = True
             self._table = t
         return self._table
-
-    def contains_key(self, key: int) -> bool:
-        return key in self.keys
 
     def member(self, fam: Family) -> bool:
         return fam.mask_key() in self.keys
@@ -144,14 +147,7 @@ class ExplicitLSR:
         return [int(k) for k in np.nonzero(flag)[0]]
 
     def bounded_mask(self) -> int:
-        """Mask over subset slots: bit s set iff the subset s is bounded."""
-        out = 1  # the empty subset is bounded by definition
-        for s in range(self.slots):
-            for x in range(self.universe.size):
-                if bo.masks_to_key([s, 1 << x]) in self.keys:
-                    out |= 1 << s
-                    break
-        return out
+        return bounded_mask(self.table(), self.universe.size)
 
     def restrict(self, y: Subset) -> "ExplicitLSR":
         """Subspace collection: families of subsets of y that are members."""
@@ -160,13 +156,11 @@ class ExplicitLSR:
         if y.is_empty:
             raise ValueError("subspace must be nonempty")
         sub_universe = Universe(y.labels())
-        old_masks = [m for m in range(self.slots) if m & ~y.mask == 0]
         new_keys = set()
         for key in self.keys:
             masks = bo.key_to_masks(key)
             if all(m & ~y.mask == 0 for m in masks):
                 new_keys.add(bo.masks_to_key([_repack(m, y.mask) for m in masks]))
-        del old_masks
         return ExplicitLSR(sub_universe, new_keys)
 
 
@@ -489,8 +483,7 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
     )
 
     # axiom: growing every member keeps the family near
-    sup_masks = [_superset_slots(s, m) for s in range(m)]
-    upset = bo.fold_or(m, sup_masks)
+    upset = upset_table(m)
     nonmember_sub = bo.or_has_submask(~table, m)
     bad_growth = None
     for key in np.nonzero(table)[0]:
@@ -560,21 +553,17 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
     return CheckReport("nearness axioms", tuple(results))
 
 
+def upset_table(m: int) -> np.ndarray:
+    """upset[F]: key of every superset of some member of the family F."""
+    return bo.fold_or(m, [_superset_slots(s, m) for s in range(m)])
+
+
 def _superset_slots(s: int, m: int) -> int:
-    out = 0
-    for t in range(m):
-        if s & ~t == 0:
-            out |= 1 << t
-    return out
+    return sum(1 << sup for sup in range(m) if s & ~sup == 0)
 
 
 def _is_down_closed(table: np.ndarray, m: int) -> bool:
-    idx = bo._indices(m)
-    for t in range(m):
-        sel = bo._has_bit(m, t)
-        if bool(np.any(table[sel] & ~table[idx[sel] ^ (1 << t)])):
-            return False
-    return True
+    return np.array_equal(table, bo.down_closure(np.flatnonzero(table), m))
 
 
 def _find_flagged_submask(flag: np.ndarray, start: int, m: int) -> int:
@@ -631,21 +620,10 @@ def enumerate_bunches(n: ExplicitNearness) -> list[int]:
     return [key for key in _up_closed_keys(n.slots) if is_bunch(key, n)]
 
 
-def _up_closed_keys(m: int) -> Iterator[int]:
+def _up_closed_keys(m: int) -> list[int]:
     """Keys of up-closed families (cheap precheck for union-prime collections)."""
-    sup = [_superset_slots(s, m) for s in range(m)]
-    for key in range(1 << m):
-        ok = True
-        probe = key
-        while probe:
-            low = probe & -probe
-            s = low.bit_length() - 1
-            if sup[s] & ~key:
-                ok = False
-                break
-            probe ^= low
-        if ok:
-            yield key
+    keys = np.arange(1 << m)
+    return np.flatnonzero((upset_table(m) & ~keys) == 0).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from coarselab.backends import (
     restrict,
     sampled_line_axiom_report,
 )
-from coarselab.mining import all_partitions, close_lsr, universe_of_size
+from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
 from coarselab.setcore import Family, Subset, Universe
 from coarselab.structures import (
     ExplicitASR,
@@ -273,6 +273,26 @@ class TestInducedNearness:
                 if not check_nearness_axioms(induced_nearness(pb)).passed:
                     bad.append((universe.size, sorted(b.bit_count() for b in blocks)))
         assert bad == [(4, [2, 2]), (4, [2, 2]), (4, [2, 2])]
+
+    def test_table_matches_query_path(self):
+        # the materialized collection, key by key, against the independent
+        # per-family query; on at most 3 points only the pairwise-meeting
+        # unbounded triangle {ab, bc, ac} reaches the refiner clause
+        backends = [
+            PartitionCoarseBackend(u, blocks)
+            for u in (Universe.of("a"), U2, U3)
+            for blocks in all_partitions(u)
+        ]
+        backends += [ExplicitBackend(random_lsr(U3, random.Random(seed))) for seed in range(20)]
+        backends.append(ExplicitBackend(close_lsr(U3, [fam(U3, "ab", "bc", "ac").mask_key()])))
+        refined = 0
+        for b in backends:
+            near = induced_nearness(b)
+            for key in range(1 << (1 << b.universe.size)):
+                v = nearness_of(NearnessQuery(b, Family.from_mask_key(b.universe, key)))
+                assert near.is_near_key(key) == v.is_yes, (b.describe(), key)
+                refined += v.is_yes and v.witness["clause"] == "unbounded-refiner"
+        assert refined > 0
 
     def test_metric_line_product_axiom_on_seeded_pairs(self):
         from oracles import random_periodic

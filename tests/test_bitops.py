@@ -1,0 +1,114 @@
+"""The bit-sweep kernels against their per-key definitions.
+
+Each kernel is run on seeded random tables over m = 0..8 slots and
+compared, key by key, with a direct reading of its docstring.  Inputs
+are also passed as strided views, and must come back unchanged.
+"""
+
+import numpy as np
+import pytest
+
+from coarselab import _bitops as bo
+
+SLOTS = range(9)
+
+
+def one_bit_neighbours(key: int, m: int):
+    """(t, key with bit t flipped) for every bit t < m."""
+    return [(t, key ^ (1 << t)) for t in range(m)]
+
+
+def is_submask(v: int, u: int) -> bool:
+    return v & ~u == 0
+
+
+def random_flags(m: int, seed: int, density: float, strided: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    flags = rng.random(2 << m) < density
+    return flags[::2] if strided else flags[: 1 << m].copy()
+
+
+@pytest.mark.parametrize("m", SLOTS)
+def test_fold_or(m):
+    rng = np.random.default_rng(m)
+    values = [int(v) for v in rng.integers(0, 1 << 16, size=m)]
+    out = bo.fold_or(m, values)
+    assert out.dtype == np.int64
+    for key in range(1 << m):
+        want = 0
+        for t in range(m):
+            if key >> t & 1:
+                want |= values[t]
+        assert out[key] == want, key
+
+
+@pytest.mark.parametrize("m", SLOTS)
+def test_fold_and(m):
+    rng = np.random.default_rng(100 + m)
+    values = [int(v) for v in rng.integers(0, 1 << 16, size=m)]
+    init = (1 << 16) - 1
+    out = bo.fold_and(m, values, init)
+    assert out.dtype == np.int64
+    for key in range(1 << m):
+        want = init
+        for t in range(m):
+            if key >> t & 1:
+                want &= values[t]
+        assert out[key] == want, key
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("density", [0.05, 0.5])
+@pytest.mark.parametrize("m", SLOTS)
+def test_or_has_submask(m, density, strided):
+    flag = random_flags(m, 200 + m, density, strided)
+    before = flag.copy()
+    out = bo.or_has_submask(flag, m)
+    assert np.array_equal(flag, before)
+    for u in range(1 << m):
+        want = any(flag[v] for v in range(u + 1) if is_submask(v, u))
+        assert out[u] == want, u
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+@pytest.mark.parametrize("m", SLOTS)
+def test_down_closure(m, count):
+    rng = np.random.default_rng(300 + m)
+    keys = [int(k) for k in rng.integers(0, 1 << m, size=count)]
+    out = bo.down_closure(keys, m)
+    assert out.dtype == bool and out.shape == (1 << m,)
+    for v in range(1 << m):
+        assert out[v] == any(is_submask(v, k) for k in keys), v
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("density", [0.05, 0.5])
+@pytest.mark.parametrize("m", SLOTS)
+def test_maximal_keys(m, density, strided):
+    member = random_flags(m, 400 + m, density, strided)
+    before = member.copy()
+    out = bo.maximal_keys(member, m)
+    assert np.array_equal(member, before)
+    for key in range(1 << m):
+        bigger = [k for t, k in one_bit_neighbours(key, m) if not key >> t & 1]
+        want = bool(member[key]) and not any(member[k] for k in bigger)
+        assert out[key] == want, key
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("density", [0.05, 0.5])
+@pytest.mark.parametrize("m", SLOTS)
+def test_minimal_keys(m, density, strided):
+    flag = random_flags(m, 500 + m, density, strided)
+    before = flag.copy()
+    out = bo.minimal_keys(flag, m)
+    assert np.array_equal(flag, before)
+    for key in range(1 << m):
+        smaller = [k for t, k in one_bit_neighbours(key, m) if key >> t & 1]
+        want = bool(flag[key]) and not any(flag[k] for k in smaller)
+        assert out[key] == want, key
+
+
+def test_fold_needs_one_value_per_slot():
+    with pytest.raises(ValueError):
+        bo.fold_or(3, [1, 2])

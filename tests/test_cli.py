@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from coarselab.backends import PartitionCoarseBackend
 from coarselab.cli import main
 from coarselab.documents import SchemaError, load_document
+from coarselab.setcore import CapExceeded, Universe
 
 ROOT = Path(__file__).resolve().parent.parent
 THREE_POINT = ROOT / "instances" / "three-point.json"
@@ -141,6 +143,21 @@ class TestExitCodes:
         code, out = run_cli(["near", str(path)], capsys)
         assert code == 4
         assert "unknown" in out
+
+    def test_five_point_partition_exits_three(self, tmp_path, capsys):
+        # the constructor must refuse first: a 5-point member table would
+        # need 2^32 entries, so the CLI half must never run without it
+        with pytest.raises(CapExceeded):
+            PartitionCoarseBackend(Universe.of(*"abcde"), [0b11111])
+        doc = {
+            "version": 1,
+            "space": {"kind": "finite", "elements": list("abcde")},
+            "structures": [{"name": "p", "type": "partition", "blocks": [list("abcde")]}],
+        }
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
 
     def test_cover_reporting_in_asdim(self, capsys):
         code, out = run_cli(["asdim", str(NAT_LINE)], capsys)
