@@ -15,14 +15,14 @@ neighborhoods, and subspace restriction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _bitops as bo
 from . import lineset as ls
-from .setcore import CapExceeded, Family, Subset, Universe
+from .setcore import Family, Subset, Universe
 from .structures import (
     CheckReport,
     ExplicitASR,

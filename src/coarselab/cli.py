@@ -17,14 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .backends import (
-    FiniteBackend,
-    NearnessQuery,
-    TopoTraceBackend,
-    induced_nearness,
-    nearness_of,
-    sampled_line_axiom_report,
-)
+from .backends import NearnessQuery, nearness_of, sampled_line_axiom_report
 from .dimension import asdim_explicit, asdim_topo_line_report, is_uniformly_bounded
 from .documents import (
     InstanceDocument,

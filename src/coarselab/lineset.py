@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -188,12 +188,14 @@ class PeriodicSet(LineSet):
 
     def window_array(self, hi: int) -> np.ndarray:
         parts = [np.asarray([n for n in self.finite_part if n <= hi], dtype=np.int64)]
-        for s, p in self.progressions:
-            parts.append(np.arange(s, hi + 1, p, dtype=np.int64))
-        merged = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-        if self.removals:
-            merged = np.setdiff1d(merged, np.asarray(self.removals, dtype=np.int64))
-        return merged
+        parts += [np.arange(s, hi + 1, p, dtype=np.int64) for s, p in self.progressions]
+        # Sort and mask, with no hashing (numpy 2.x's unique hashes).  Every
+        # removal lies in the set body: searchsorted finds the kept copy.
+        merged = np.sort(np.concatenate(parts))
+        keep = np.ones(merged.size, dtype=bool)
+        keep[1:] = merged[1:] != merged[:-1]
+        keep[np.searchsorted(merged, [r for r in self.removals if r <= hi])] = False
+        return merged[keep]
 
     def is_finite(self) -> bool:
         # removals are finite, so any progression survives them
@@ -355,15 +357,7 @@ class BlocksSet(LineSet):
                     yield x
             return
         if self.rule == "nearer-side":
-            (side,) = self.ints
-            a, b = self.sets
-            awin = a.window_array(hi + _cushion(a, hi))
-            bwin = b.window_array(hi + _cushion(b, hi))
-            pts = np.arange(hi + 1, dtype=np.int64)
-            da = _distances_to(pts, awin)
-            db = _distances_to(pts, bwin)
-            keep = da >= db if side == 0 else db >= da
-            yield from (int(n) for n in pts[keep])
+            yield from (int(n) for n in self.window_array(hi))
             return
         if self.rule == "geometric-offset":
             m, b, k0, c = self.ints
@@ -389,12 +383,7 @@ class BlocksSet(LineSet):
             return base[keep]
         if self.rule == "nearer-side":
             (side,) = self.ints
-            a, b = self.sets
-            awin = a.window_array(hi + _cushion(a, hi))
-            bwin = b.window_array(hi + _cushion(b, hi))
-            pts = np.arange(hi + 1, dtype=np.int64)
-            da = _distances_to(pts, awin)
-            db = _distances_to(pts, bwin)
+            pts, da, db = _nearer_side_distances(*self.sets, hi)
             return pts[da >= db] if side == 0 else pts[db >= da]
         return super().window_array(hi)
 
@@ -549,6 +538,16 @@ def _distances_to(points: np.ndarray, sorted_elems: np.ndarray) -> np.ndarray:
     return np.minimum(d_right, d_left)
 
 
+def _nearer_side_distances(
+    a: LineSet, b: LineSet, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of ``[0, hi]`` with their distances to ``a`` and to ``b``."""
+    awin = a.window_array(hi + _cushion(a, hi))
+    bwin = b.window_array(hi + _cushion(b, hi))
+    pts = np.arange(hi + 1, dtype=np.int64)
+    return pts, _distances_to(pts, awin), _distances_to(pts, bwin)
+
+
 # ---------------------------------------------------------------------------
 # Exact Hausdorff distance (Finite/Periodic tier)
 # ---------------------------------------------------------------------------
@@ -698,18 +697,24 @@ def normality_split(
     of ``a`` and of ``x2`` within ``k`` of ``b``, the raw evidence for
     judging scale-``k`` disjointness of each side from its far set.
     """
+    x1, x2, verdict, _ = _split_with_windows(a, b, hi, scales)
+    return x1, x2, verdict
+
+
+def _split_with_windows(
+    a: LineSet, b: LineSet, hi: int, scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+) -> tuple[BlocksSet, BlocksSet, TriVerdict, tuple[np.ndarray, np.ndarray]]:
+    """``normality_split`` plus the windows ``x1.window_array(hi)`` and
+    ``x2.window_array(hi)``, taken from the same distance arrays."""
     x1 = BlocksSet("nearer-side", (0,), (a, b), ("divergent",))
     x2 = BlocksSet("nearer-side", (1,), (a, b), ("divergent",))
-    awin = a.window_array(hi + _cushion(a, hi))
-    bwin = b.window_array(hi + _cushion(b, hi))
-    pts = np.arange(hi + 1, dtype=np.int64)
-    da = _distances_to(pts, awin)
-    db = _distances_to(pts, bwin)
+    pts, da, db = _nearer_side_distances(a, b, hi)
     in1 = da >= db
     in2 = db >= da
+    windows = (pts[in1], pts[in2])
     if not bool(np.all(in1 | in2)):
         n = int(pts[~(in1 | in2)][0])
-        return x1, x2, TriVerdict.no(uncovered=n)
+        return x1, x2, TriVerdict.no(uncovered=n), windows
     evidence = []
     for k in scales:
         near1 = pts[in1 & (da <= k)]
@@ -721,7 +726,7 @@ def normality_split(
                 "last_near_b": int(near2[-1]) if near2.size else -1,
             }
         )
-    return x1, x2, TriVerdict.yes(window=hi, scales=evidence)
+    return x1, x2, TriVerdict.yes(window=hi, scales=evidence), windows
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
 
 import numpy as np
 
 from . import _bitops as bo
 from . import lineset as ls
-from .backends import FiniteBackend, LSRBackend, MetricLineBackend
-from .setcore import Family, Subset, Universe
+from .backends import FiniteBackend, MetricLineBackend
+from .setcore import Family, Subset
 from .verdict import TriVerdict
 
 SAMPLE_WINDOW = 2000

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import _bitops as bo
 from .backends import PartitionCoarseBackend, induced_nearness
-from .setcore import CapExceeded, Family, Universe
+from .setcore import CapExceeded, Universe
 from .structures import (
     ExplicitLSR,
     check_lsr_axioms,

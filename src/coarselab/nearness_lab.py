@@ -111,8 +111,12 @@ class BunchObstruction:
         )
 
     def revalidate(self) -> bool:
-        """Re-check every certified component from the stored data."""
-        if not self.complete:
+        """Re-check every certified component from the stored data.
+
+        Each stored side's window, and its distances to the pivot, are
+        built once and shared by all the scale checks of that side.
+        """
+        if not self.complete or self.window < 0:
             return False
         for half in (self.half1, self.half2):
             probe = half.window(4096)
@@ -120,20 +124,18 @@ class BunchObstruction:
                 return False
             if len(probe) < 8:
                 return False
-        pts = np.arange(self.window + 1, dtype=np.int64)
-        w1 = self.side1.window_array(self.window)
-        w2 = self.side2.window_array(self.window)
-        if np.union1d(w1, w2).size != pts.size:
+        windows = (self.side1.window_array(self.window), self.side2.window_array(self.window))
+        # window_array(hi) holds points of [0, hi] only, so a table covers it
+        covered = np.zeros(self.window + 1, dtype=bool)
+        covered[np.concatenate(windows)] = True
+        if not covered.all():
             return False
         lw = self.pivot.window_array(self.window + _cushion(self.pivot, self.window))
+        sides = [(w, _distances_to(w, lw) if w.size else w) for w in windows]
         for check in self.scale_checks:
-            side = self.side1 if check.side == 0 else self.side2
+            sw, d_side = sides[0] if check.side == 0 else sides[1]
             k = check.scale
-            sw = side.window_array(self.window)
-            if sw.size:
-                near = sw[_distances_to(sw, lw) <= k]
-            else:
-                near = sw
+            near = sw[d_side <= k]
             l = check.member_point
             if not self.pivot.contains(l) or l > self.window - k:
                 return False
@@ -181,16 +183,15 @@ def bunch_obstruction(
 
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
-    side1, side2, coverage = ls.normality_split(half1, half2, window)
+    side1, side2, coverage, side_windows = ls._split_with_windows(half1, half2, window)
 
     lw_pad = pivot.window_array(window + _cushion(pivot, window))
-    lw = pivot.window_array(window)
+    lw = lw_pad[lw_pad <= window]
     checks: list[ScaleCheck] = []
-    for side_idx, side in enumerate((side1, side2)):
-        sw = side.window_array(window)
-        d_side = _distances_to(sw, lw_pad) if sw.size else np.empty(0, np.int64)
+    for side_idx, sw in enumerate(side_windows):
+        d_side = _distances_to(sw, lw_pad) if sw.size else sw
         for k in range(scale_budget + 1):
-            candidate = sw[d_side <= k] if sw.size else sw
+            candidate = sw[d_side <= k]
             witnesses = lw[lw <= window - k]
             if candidate.size == 0:
                 if witnesses.size == 0:

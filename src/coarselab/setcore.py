@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 DEFAULT_UNIVERSE_CAP = 16
 DEFAULT_CLOSURE_CAP = 1 << 20

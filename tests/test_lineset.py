@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from coarselab.lineset import (
     INF,
@@ -232,6 +235,65 @@ class TestNormalitySplit:
         assert v.is_yes
         for row in v.witness["scales"]:
             assert row["last_near_a"] <= 100 and row["last_near_b"] <= 100
+
+
+@st.composite
+def periodic_sets(draw, infinite: bool = False) -> PeriodicSet:
+    """Overlapping progressions, a finite part partly inside them, and
+    removals drawn from the set body."""
+    ap = st.tuples(st.integers(0, 40), st.integers(1, 9))
+    progs = draw(st.lists(ap, min_size=1 if infinite else 0, max_size=3))
+    fin = draw(st.lists(st.integers(0, 300), max_size=6))
+    on_progs = PeriodicSet(progressions=progs).window(300)
+    if on_progs:
+        fin += draw(st.lists(st.sampled_from(on_progs), max_size=4))
+    body = PeriodicSet(fin, progs).window(320)
+    rem = draw(st.lists(st.sampled_from(body), max_size=6)) if body else []
+    return PeriodicSet(fin, progs, rem)
+
+
+def assert_window(s, hi: int, expected: list[int]) -> None:
+    arr = s.window_array(hi)
+    assert arr.dtype == np.int64
+    assert arr.tolist() == expected
+
+
+class TestWindowArray:
+    """``window_array`` against the enumerators and the membership rules."""
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(periodic_sets(), st.integers(0, 320))
+    def test_periodic_matches_window(self, s, hi):
+        assert_window(s, hi, window(s, hi))
+        assert window(s, hi) == [n for n in range(hi + 1) if s.contains(n)]
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(periodic_sets(infinite=True), st.integers(0, 320))
+    def test_sparsify_halves_match_iter_up_to(self, base, hi):
+        for half in sparsify_split(base):
+            assert_window(half, hi, list(half.iter_up_to(hi)))
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(periodic_sets(infinite=True), periodic_sets(), st.integers(0, 200))
+    def test_nearer_side_matches_iter_up_to_and_contains(self, a, b, hi):
+        if b.is_empty():
+            b = a
+        for side in (0, 1):
+            x = BlocksSet("nearer-side", (side,), (a, b))
+            expected = [n for n in range(hi + 1) if x.contains(n)]
+            assert_window(x, hi, expected)
+            assert list(x.iter_up_to(hi)) == expected
+
+    def test_nearer_side_of_sparsified_halves(self):
+        left, right = sparsify_split(evens())
+        x1, x2, _ = normality_split(left, right, 400)
+        for x in (x1, x2):
+            expected = [n for n in range(401) if x.contains(n)]
+            assert_window(x, 400, expected)
+            assert list(x.iter_up_to(400)) == expected
 
 
 class TestAlgebra:

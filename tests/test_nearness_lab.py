@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -29,6 +30,7 @@ class TestObstruction:
         assert cert.refiner_scale == 1
         assert cert.coverage.is_yes
         assert len(cert.scale_checks) == 66
+        assert BunchObstruction.from_json(json.loads(json.dumps(cert.to_json()))).revalidate()
 
     def test_identical_members_rejected(self):
         with pytest.raises(ObstructionRejected, match="share the point"):
@@ -78,6 +80,121 @@ class TestObstruction:
             cert = bunch_obstruction(members, scale_budget=16, window=10**4)
             assert cert.complete
             built += 1
+
+
+def _edit_pivot(doc):
+    doc["pivot"] = doc["family"][1]
+
+
+def _edit_side1(doc):
+    doc["side1"] = ls.naturals().to_json()
+
+
+def _edit_member_point(index):
+    def edit(doc):
+        doc["scale_checks"][index]["member_point"] += 1
+
+    return edit
+
+
+def _edit_distance(doc):
+    check = next(c for c in doc["scale_checks"] if c["distance_to_candidate"] is not None)
+    check["distance_to_candidate"] += 1
+
+
+def _edit_coverage(doc):
+    doc["coverage"]["outcome"] = "no"
+
+
+def _edit_drop_check(doc):
+    del doc["scale_checks"][5]
+
+
+def _edit_family(doc):
+    doc["family"][1] = doc["family"][0]
+
+
+def _edit_refiner_scale(doc):
+    doc["refiner_scale"] += 999
+
+
+def _edit_half1(doc):
+    doc["half1"] = doc["half2"]
+
+
+REJECTED_EDITS = {
+    "pivot": _edit_pivot,
+    "side1": _edit_side1,
+    **{f"member_point[{i}]": _edit_member_point(i) for i in (0, 3, 8, 11, -1)},
+    "distance_to_candidate": _edit_distance,
+    "coverage": _edit_coverage,
+    "drop_scale_check": _edit_drop_check,
+}
+TRUSTED_EDITS = {
+    "family": _edit_family,
+    "refiner_scale": _edit_refiner_scale,
+    "half1": _edit_half1,
+}
+
+
+class TestRevalidate:
+    """``revalidate`` on a genuine certificate and on single-field edits of it."""
+
+    @pytest.fixture(scope="class")
+    def genuine(self):
+        members = [ls.arithmetic(r, 4) for r in (0, 1, 3)]
+        return bunch_obstruction(members, scale_budget=8, window=2000).to_json()
+
+    @staticmethod
+    def revalidate_edited(doc, edit):
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        return BunchObstruction.from_json(doc).revalidate()
+
+    def test_genuine_accepted(self, genuine):
+        assert self.revalidate_edited(genuine, lambda doc: None)
+
+    @pytest.mark.parametrize("kind", sorted(REJECTED_EDITS))
+    def test_single_field_edit_rejected(self, genuine, kind):
+        assert not self.revalidate_edited(genuine, REJECTED_EDITS[kind])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="revalidate trusts family, refiner_scale and the halves (ROADMAP item 4)",
+    )
+    @pytest.mark.parametrize("kind", sorted(TRUSTED_EDITS))
+    def test_trusted_field_edit_rejected(self, genuine, kind):
+        assert not self.revalidate_edited(genuine, TRUSTED_EDITS[kind])
+
+
+def _seeded_families():
+    yield [ls.evens(), ls.odds()]
+    rng = random.Random(1)
+    for _ in range(2):
+        modulus = 2 * rng.randint(2, 5)
+        residues = rng.sample(range(modulus), rng.randint(2, 3))
+        yield [ls.arithmetic(r, modulus) for r in residues]
+
+
+# sha256 of the canonical JSON (sorted keys, no spaces) of the certificates
+# for {evens, odds}, {2, 0} mod 6 and {7, 6, 3} mod 10 at scale 16, window
+# 1e4, as built with the np.unique window merge: a faster window layer must
+# reproduce them byte for byte.
+GOLDEN_CERTIFICATES = (
+    "d00fd1c3541b21fb25e7a27a747790598cb0d77582594399af56c0666ad87c3b",
+    "ce6b21cfa10de9b4f8730d7440ce49b05db9b08b124ba94c6d763c37cef0d8f7",
+    "5b052e21f74db2c608d129371e451e58d90864b395c70da7ce7cf7d5fe861e57",
+)
+
+
+def test_golden_certificates():
+    digests = []
+    for members in _seeded_families():
+        cert = bunch_obstruction(members, scale_budget=16, window=10**4)
+        text = json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":"))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        assert cert.revalidate()
+    assert tuple(digests) == GOLDEN_CERTIFICATES
 
 
 class TestExplicitContrast:
