@@ -269,7 +269,13 @@ class GeometricSet(LineSet):
         return {"kind": "geometric", "m": self.m, "b": self.b, "k0": self.k0}
 
 
-BLOCK_RULES = ("doubling-blocks", "sparsify-half", "nearer-side", "geometric-offset")
+# rule -> (number of ints, number of sets)
+BLOCK_RULES = {
+    "doubling-blocks": (1, 0),
+    "sparsify-half": (1, 1),
+    "nearer-side": (1, 2),
+    "geometric-offset": (4, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -307,6 +313,17 @@ class BlocksSet(LineSet):
             raise ValueError(f"unknown block rule {self.rule!r}")
         if self.gaps[0] not in ("divergent", "bounded"):
             raise ValueError(f"bad gap certificate {self.gaps!r}")
+        arity, n_sets = BLOCK_RULES[self.rule]
+        if len(self.ints) != arity or len(self.sets) != n_sets:
+            raise ValueError(f"{self.rule} takes {arity} ints and {n_sets} sets")
+        if self.rule == "doubling-blocks" and self.ints[0] < 1:
+            raise ValueError("doubling-blocks needs width >= 1")
+        if self.rule in ("sparsify-half", "nearer-side") and self.ints[0] not in (0, 1):
+            raise ValueError(f"{self.rule} needs side 0 or 1")
+        if self.rule == "geometric-offset":
+            m, b, k0, c = self.ints
+            if m < 1 or b < 2 or k0 < 0 or c < 0:
+                raise ValueError("geometric-offset needs m >= 1, b >= 2, k0 >= 0, c >= 0")
 
     def contains(self, n: int) -> bool:
         if self.rule == "doubling-blocks":
@@ -370,20 +387,11 @@ class BlocksSet(LineSet):
 
     def window_array(self, hi: int) -> np.ndarray:
         if self.rule == "sparsify-half":
-            (side,) = self.ints
-            base = self.sets[0].window_array(hi)
-            keep = np.zeros(base.size, dtype=bool)
-            p = 1
-            while p <= base.size:
-                if side == 0:
-                    keep[p - 1 : min(2 * p - 1, base.size)] = True
-                else:
-                    keep[4 * p - 1 : min(8 * p - 1, base.size)] = True
-                p *= 16
-            return base[keep]
+            return _sparsify_take(self.sets[0].window_array(hi), self.ints[0])
         if self.rule == "nearer-side":
             (side,) = self.ints
-            pts, da, db = _nearer_side_distances(*self.sets, hi)
+            a, b = self.sets
+            pts, da, db = _nearer_side_distances(_padded_window(a, hi), _padded_window(b, hi), hi)
             return pts[da >= db] if side == 0 else pts[db >= da]
         return super().window_array(hi)
 
@@ -415,6 +423,18 @@ def _sparsify_side(idx: int) -> int | None:
     if 4 * p <= idx < 8 * p:
         return 1
     return None
+
+
+def _sparsify_take(base: np.ndarray, side: int) -> np.ndarray:
+    """The elements of ``base``, a window of a sparsified set, whose 1-based
+    index ``_sparsify_side`` assigns to side ``side``."""
+    lo, hi = (1, 2) if side == 0 else (4, 8)
+    keep = np.zeros(base.size, dtype=bool)
+    p = 1
+    while p <= base.size:
+        keep[lo * p - 1 : hi * p - 1] = True
+        p *= 16
+    return base[keep]
 
 
 def lineset_from_json(doc: dict) -> LineSet:
@@ -538,12 +558,17 @@ def _distances_to(points: np.ndarray, sorted_elems: np.ndarray) -> np.ndarray:
     return np.minimum(d_right, d_left)
 
 
+def _padded_window(s: LineSet, hi: int) -> np.ndarray:
+    """The window of ``s`` over ``[0, hi]`` plus its cushion: enough to measure
+    distances from the points of ``[0, hi]``."""
+    return s.window_array(hi + _cushion(s, hi))
+
+
 def _nearer_side_distances(
-    a: LineSet, b: LineSet, hi: int
+    awin: np.ndarray, bwin: np.ndarray, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of ``[0, hi]`` with their distances to ``a`` and to ``b``."""
-    awin = a.window_array(hi + _cushion(a, hi))
-    bwin = b.window_array(hi + _cushion(b, hi))
+    """The points of ``[0, hi]`` with their distances to ``a`` and to ``b``,
+    given ``awin = _padded_window(a, hi)`` and ``bwin = _padded_window(b, hi)``."""
     pts = np.arange(hi + 1, dtype=np.int64)
     return pts, _distances_to(pts, awin), _distances_to(pts, bwin)
 
@@ -697,18 +722,25 @@ def normality_split(
     of ``a`` and of ``x2`` within ``k`` of ``b``, the raw evidence for
     judging scale-``k`` disjointness of each side from its far set.
     """
-    x1, x2, verdict, _ = _split_with_windows(a, b, hi, scales)
+    awin, bwin = _padded_window(a, hi), _padded_window(b, hi)
+    x1, x2, verdict, _ = _split_with_windows(a, b, awin, bwin, hi, scales)
     return x1, x2, verdict
 
 
 def _split_with_windows(
-    a: LineSet, b: LineSet, hi: int, scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+    a: LineSet,
+    b: LineSet,
+    awin: np.ndarray,
+    bwin: np.ndarray,
+    hi: int,
+    scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
 ) -> tuple[BlocksSet, BlocksSet, TriVerdict, tuple[np.ndarray, np.ndarray]]:
-    """``normality_split`` plus the windows ``x1.window_array(hi)`` and
+    """``normality_split`` from the padded windows ``awin`` and ``bwin`` of
+    ``a`` and ``b``, plus the windows ``x1.window_array(hi)`` and
     ``x2.window_array(hi)``, taken from the same distance arrays."""
     x1 = BlocksSet("nearer-side", (0,), (a, b), ("divergent",))
     x2 = BlocksSet("nearer-side", (1,), (a, b), ("divergent",))
-    pts, da, db = _nearer_side_distances(a, b, hi)
+    pts, da, db = _nearer_side_distances(awin, bwin, hi)
     in1 = da >= db
     in2 = db >= da
     windows = (pts[in1], pts[in2])

@@ -15,6 +15,13 @@ lie within k of that candidate; a single member point farther than k
 from the candidate therefore refutes every such subset at once.  The
 window guard keeps this exact: candidate points within k of a member
 point below ``window - k`` cannot hide beyond the window.
+
+Each scale check stores the *first* such witness: the smallest guarded
+pivot point (at most ``window - k``) farther than k from the candidate,
+with its distance.  Every guarded pivot point below it lies within k of
+the candidate, so the stored check is a function of the family, the
+scale and the window alone, and the witness scan may stop as soon as it
+finds a far point.
 """
 
 from __future__ import annotations
@@ -149,6 +156,21 @@ class BunchObstruction:
         return True
 
 
+def _first_far(points: np.ndarray, candidate: np.ndarray, k: int) -> tuple[int, int] | None:
+    """The first of the sorted ``points`` farther than ``k`` from ``candidate``,
+    with its distance, or None.  Scans chunks of 64, 128, 256, ... points
+    and stops at the first chunk that holds a far point."""
+    start, size = 0, 64
+    while start < points.size:
+        dists = _distances_to(points[start : start + size], candidate)
+        far = np.flatnonzero(dists > k)
+        if far.size:
+            return int(points[start + far[0]]), int(dists[far[0]])
+        start += size
+        size *= 2
+    return None
+
+
 def bunch_obstruction(
     family: Sequence[ls.LineSet], scale_budget: int = 32, window: int = 10**5
 ) -> BunchObstruction:
@@ -183,30 +205,38 @@ def bunch_obstruction(
 
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
-    side1, side2, coverage, side_windows = ls._split_with_windows(half1, half2, window)
+    # One pivot window serves both halves' padded windows and the pivot's
+    # own; only the copied pivot prefix outlives this block.
+    half_top = window + _cushion(half1, window)
+    pivot_top = window + _cushion(pivot, window)
+    base = pivot.window_array(max(half_top, pivot_top))
+    half_base = base[: np.searchsorted(base, half_top, "right")]
+    half_windows = ls._sparsify_take(half_base, 0), ls._sparsify_take(half_base, 1)
+    lw_pad = base[: np.searchsorted(base, pivot_top, "right")].copy()
+    del base, half_base
+    side1, side2, coverage, side_windows = ls._split_with_windows(
+        half1, half2, *half_windows, window
+    )
+    del half_windows
 
-    lw_pad = pivot.window_array(window + _cushion(pivot, window))
-    lw = lw_pad[lw_pad <= window]
     checks: list[ScaleCheck] = []
     for side_idx, sw in enumerate(side_windows):
         d_side = _distances_to(sw, lw_pad) if sw.size else sw
         for k in range(scale_budget + 1):
             candidate = sw[d_side <= k]
-            witnesses = lw[lw <= window - k]
+            witnesses = lw_pad[: np.searchsorted(lw_pad, window - k, "right")]
             if candidate.size == 0:
                 if witnesses.size == 0:
                     raise ObstructionRejected("window too small for the pivot member")
                 checks.append(ScaleCheck(k, side_idx, int(witnesses[0]), None))
                 continue
-            dists = _distances_to(witnesses, candidate)
-            far = np.nonzero(dists > k)[0]
-            if far.size == 0:
+            far = _first_far(witnesses, candidate, k)
+            if far is None:
                 raise ObstructionRejected(
                     f"scale check failed: side {side_idx} holds a candidate within "
                     f"{k} of every member point up to the window"
                 )
-            pos = int(far[0])
-            checks.append(ScaleCheck(k, side_idx, int(witnesses[pos]), int(dists[pos])))
+            checks.append(ScaleCheck(k, side_idx, *far))
 
     return BunchObstruction(
         family=tuple(members),

@@ -12,11 +12,8 @@ through the independent query path.
 """
 
 import itertools
-import json
 import random
 import time
-
-import pytest
 
 from coarselab import lineset as ls
 from coarselab.backends import (
@@ -35,10 +32,7 @@ from coarselab.dimension import (
     asdim_explicit,
     asdim_topo_line_report,
     asr_uniformly_bounded,
-    greedy_interval_coarsen,
     is_uniformly_bounded,
-    mult1_forced_member_size,
-    multiplicity,
 )
 from coarselab.maps import ExplicitMap, LineMap, is_ls_equivalence
 from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coarselab import lineset as ls
-from coarselab._bitops import bits, masks_to_key, submasks, vee_key
+from coarselab._bitops import bits, vee_key
 from coarselab.backends import (
     ExplicitBackend,
     FromASRBackend,
@@ -25,13 +25,12 @@ from coarselab.backends import (
     restrict,
     sampled_line_axiom_report,
 )
-from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
+from coarselab.mining import all_partitions, close_lsr, random_lsr
 from coarselab.setcore import Family, Subset, Universe
 from coarselab.structures import (
     ExplicitASR,
     ExplicitLSR,
     check_asr_axioms,
-    check_lsr_axioms,
     check_nearness_axioms,
     is_a_lsr,
     is_h_nearness,

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from coarselab.dimension import (
     refines,
     transversal_family,
 )
-from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
+from coarselab.mining import all_partitions, random_lsr
 from coarselab.setcore import CapExceeded, Family, Universe
 from coarselab.structures import ExplicitLSR
 

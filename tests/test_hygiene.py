@@ -1,7 +1,8 @@
-"""Lint gate: no module of the package imports a name it never uses.
+"""Lint gate: no module of the package or of its tests imports a name
+it never uses.
 
-An AST scan stands in for a linter.  ``__init__.py`` is left out,
-because it imports names in order to re-export them.
+An AST scan stands in for a linter.  The package's ``__init__.py`` is
+left out, because it imports names in order to re-export them.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coarselab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -44,7 +46,7 @@ def test_scan_covers_the_package():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = used_names(tree)

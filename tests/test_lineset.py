@@ -333,6 +333,33 @@ class TestPairedDivergence:
             assert hausdorff_at_scale(a, b, k, 10**6).is_no
 
 
+BAD_BLOCKS = {
+    "geometric-offset m < 1": ("geometric-offset", (-3, 2, 0, 3), ()),
+    "geometric-offset m < 1, c > 0": ("geometric-offset", (-2, 2, 0, 1), ()),
+    "geometric-offset b < 2": ("geometric-offset", (1, 1, 0, 1), ()),
+    "geometric-offset k0 < 0": ("geometric-offset", (1, 2, -1, 0), ()),
+    "geometric-offset c < 0": ("geometric-offset", (1, 2, 0, -1), ()),
+    "geometric-offset three ints": ("geometric-offset", (1, 2, 0), ()),
+    "sparsify-half side 5": ("sparsify-half", (5,), (naturals(),)),
+    "sparsify-half no base": ("sparsify-half", (0,), ()),
+    "nearer-side side -1": ("nearer-side", (-1,), (evens(), odds())),
+    "nearer-side one set": ("nearer-side", (0,), (evens(),)),
+    "doubling-blocks width 0": ("doubling-blocks", (0,), ()),
+    "doubling-blocks with a set": ("doubling-blocks", (2,), (evens(),)),
+}
+
+
+class TestBlocksValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+    def test_bad_parameters_rejected(self, case):
+        rule, ints, sets = BAD_BLOCKS[case]
+        with pytest.raises(ValueError):
+            BlocksSet(rule, ints, sets)
+        doc = {"kind": "blocks", "rule": rule, "ints": list(ints), "sets": [s.to_json() for s in sets]}
+        with pytest.raises(ValueError):
+            lineset_from_json(doc)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         sets = [

@@ -1,10 +1,8 @@
 import itertools
 import random
 
-import pytest
-
 from coarselab import lineset as ls
-from coarselab.backends import ExplicitBackend, PartitionCoarseBackend
+from coarselab.backends import PartitionCoarseBackend
 from coarselab.dimension import asdim_explicit
 from coarselab.maps import (
     ExplicitMap,

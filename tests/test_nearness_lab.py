@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from coarselab import lineset as ls
@@ -51,12 +52,16 @@ class TestObstruction:
                 assert cert.pivot.contains(x)
 
     def test_scale_checks_are_replayable(self):
-        cert = bunch_obstruction([ls.evens(), ls.odds()], 16, 10**4)
-        for check in cert.scale_checks:
-            side = cert.side1 if check.side == 0 else cert.side2
-            assert cert.pivot.contains(check.member_point)
-            if check.distance_to_candidate is not None:
-                assert check.distance_to_candidate > check.scale
+        # At scale 64 the {evens, odds} witnesses sit past the first
+        # 64 pivot points, so the chunked witness scan has to grow.
+        cases = [
+            ([ls.evens(), ls.odds()], 16),
+            ([ls.evens(), ls.odds()], 64),
+            ([ls.arithmetic(1, 4), ls.arithmetic(3, 4)], 64),
+        ]
+        for members, budget in cases:
+            cert = bunch_obstruction(members, budget, 10**4)
+            replay_scale_checks(cert)
 
     def test_serialization_roundtrip_and_revalidation(self):
         cert = bunch_obstruction([ls.evens(), ls.odds()], 16, 10**4)
@@ -80,6 +85,27 @@ class TestObstruction:
             cert = bunch_obstruction(members, scale_budget=16, window=10**4)
             assert cert.complete
             built += 1
+
+
+def replay_scale_checks(cert):
+    """Rebuild each check's candidate, the side's window points within the
+    scale of the pivot, and check the stored witness: its distance to the
+    candidate, and that it is the first guarded pivot point that far."""
+    pivot = np.asarray(cert.pivot.window(cert.window + cert.scale_budget))
+    sides = (cert.side1.window_array(cert.window), cert.side2.window_array(cert.window))
+    for check in cert.scale_checks:
+        k, l = check.scale, check.member_point
+        sw = sides[check.side]
+        pivot_near = np.searchsorted(pivot, sw + k, "right") > np.searchsorted(pivot, sw - k)
+        candidate = sw[pivot_near]
+        assert cert.pivot.contains(l) and l <= cert.window - k
+        below = pivot[pivot < l]
+        if check.distance_to_candidate is None:
+            assert candidate.size == 0 and below.size == 0
+            continue
+        assert int(np.abs(candidate - l).min()) == check.distance_to_candidate > k
+        gaps = np.abs(below[:, None] - candidate[None, :]).min(axis=1)
+        assert (gaps <= k).all()
 
 
 def _edit_pivot(doc):
@@ -178,19 +204,24 @@ def _seeded_families():
 
 # sha256 of the canonical JSON (sorted keys, no spaces) of the certificates
 # for {evens, odds}, {2, 0} mod 6 and {7, 6, 3} mod 10 at scale 16, window
-# 1e4, as built with the np.unique window merge: a faster window layer must
-# reproduce them byte for byte.
+# 1e4, as built with the np.unique window merge, and for {evens, odds} at
+# scale 64, window 1e4 (witnesses past the first 64 pivot points), as built
+# with full witness scans: a faster build path must reproduce them byte for
+# byte.
 GOLDEN_CERTIFICATES = (
     "d00fd1c3541b21fb25e7a27a747790598cb0d77582594399af56c0666ad87c3b",
     "ce6b21cfa10de9b4f8730d7440ce49b05db9b08b124ba94c6d763c37cef0d8f7",
     "5b052e21f74db2c608d129371e451e58d90864b395c70da7ce7cf7d5fe861e57",
+    "694b62ef67e19509bd14827ba982fda4e7aee8b706a96076b38c7a28248fd827",
 )
 
 
 def test_golden_certificates():
     digests = []
-    for members in _seeded_families():
-        cert = bunch_obstruction(members, scale_budget=16, window=10**4)
+    inputs = [(members, 16) for members in _seeded_families()]
+    inputs.append(([ls.evens(), ls.odds()], 64))
+    for members, budget in inputs:
+        cert = bunch_obstruction(members, scale_budget=budget, window=10**4)
         text = json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":"))
         digests.append(hashlib.sha256(text.encode()).hexdigest())
         assert cert.revalidate()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from coarselab.setcore import (
     CapExceeded,
     Family,
-    Subset,
     Universe,
     downward_closure,
     ll_refines,
