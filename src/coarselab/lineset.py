@@ -324,6 +324,10 @@ class BlocksSet(LineSet):
             m, b, k0, c = self.ints
             if m < 1 or b < 2 or k0 < 0 or c < 0:
                 raise ValueError("geometric-offset needs m >= 1, b >= 2, k0 >= 0, c >= 0")
+            # the step from k to k + 1 is m*b**k*(b - 1) + c**k*(c - 1); with
+            # the ranges above it is 0 only at k = 0, c = 0 (0**0 == 1), m*(b - 1) == 1
+            if (m, b, k0, c) == (1, 2, 0, 0):
+                raise ValueError("geometric-offset (1, 2, 0, 0) repeats the value 2")
 
     def contains(self, n: int) -> bool:
         if self.rule == "doubling-blocks":
@@ -435,6 +439,20 @@ def _sparsify_take(base: np.ndarray, side: int) -> np.ndarray:
         keep[lo * p - 1 : hi * p - 1] = True
         p *= 16
     return base[keep]
+
+
+def _sparsify_windows(base: LineSet, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_padded_window(h, hi)`` for both halves ``h`` of ``sparsify_split(base)``,
+    then ``_padded_window(base, hi)``, all cut from one window of ``base``.
+
+    A half's window up to any top is ``_sparsify_take`` of the base's
+    window up to that top, and a base window up to a lower top is a
+    prefix of it.  Only the three returned arrays outlive the call.
+    """
+    tops = [hi + _cushion(s, hi) for s in (*sparsify_split(base), base)]
+    full = base.window_array(max(tops))
+    cut1, cut2, cut_base = np.searchsorted(full, tops, "right")
+    return _sparsify_take(full[:cut1], 0), _sparsify_take(full[:cut2], 1), full[:cut_base].copy()
 
 
 def lineset_from_json(doc: dict) -> LineSet:

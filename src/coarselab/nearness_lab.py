@@ -205,19 +205,8 @@ def bunch_obstruction(
 
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
-    # One pivot window serves both halves' padded windows and the pivot's
-    # own; only the copied pivot prefix outlives this block.
-    half_top = window + _cushion(half1, window)
-    pivot_top = window + _cushion(pivot, window)
-    base = pivot.window_array(max(half_top, pivot_top))
-    half_base = base[: np.searchsorted(base, half_top, "right")]
-    half_windows = ls._sparsify_take(half_base, 0), ls._sparsify_take(half_base, 1)
-    lw_pad = base[: np.searchsorted(base, pivot_top, "right")].copy()
-    del base, half_base
-    side1, side2, coverage, side_windows = ls._split_with_windows(
-        half1, half2, *half_windows, window
-    )
-    del half_windows
+    awin, bwin, lw_pad = ls._sparsify_windows(pivot, window)
+    side1, side2, coverage, side_windows = ls._split_with_windows(half1, half2, awin, bwin, window)
 
     checks: list[ScaleCheck] = []
     for side_idx, sw in enumerate(side_windows):

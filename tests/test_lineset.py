@@ -340,6 +340,7 @@ BAD_BLOCKS = {
     "geometric-offset k0 < 0": ("geometric-offset", (1, 2, -1, 0), ()),
     "geometric-offset c < 0": ("geometric-offset", (1, 2, 0, -1), ()),
     "geometric-offset three ints": ("geometric-offset", (1, 2, 0), ()),
+    "geometric-offset repeats 2": ("geometric-offset", (1, 2, 0, 0), ()),
     "sparsify-half side 5": ("sparsify-half", (5,), (naturals(),)),
     "sparsify-half no base": ("sparsify-half", (0,), ()),
     "nearer-side side -1": ("nearer-side", (-1,), (evens(), odds())),
@@ -358,6 +359,12 @@ class TestBlocksValidation:
         doc = {"kind": "blocks", "rule": rule, "ints": list(ints), "sets": [s.to_json() for s in sets]}
         with pytest.raises(ValueError):
             lineset_from_json(doc)
+
+
+    @pytest.mark.parametrize("ints", [(1, 2, 1, 0), (1, 3, 0, 0), (2, 2, 0, 0), (1, 2, 0, 1)])
+    def test_geometric_offset_edges_strictly_increase(self, ints):
+        vals = BlocksSet("geometric-offset", ints).window(10**4)
+        assert len(vals) > 3 and all(x < y for x, y in zip(vals, vals[1:]))
 
 
 class TestSerialization:
