@@ -5,15 +5,16 @@ subsets is a key in [0, 2^(2^n)) whose bit ``s`` says that the subset
 with mask ``s`` is a member.  For n <= 4 whole collections of families
 fit in arrays of 65536 entries over m = 2^n subset slots.
 
-Every exhaustive pass over such an array is one sweep: for each bit t,
+Every gathering pass over such an array is one sweep: for each bit t,
 ``_halves`` pairs each key without bit t (``lo``) with the key that adds
 it (``hi``), as two views of the same array.  Pushing ``lo`` into ``hi``
 over all bits is the subset-sum (zeta) transform of Yates (1937), which
 gathers over submasks (``or_has_submask``); pushing ``hi`` into ``lo``
 is its mirror, which gathers over supermasks (``down_closure``).  One
 step in either direction compares a key with its one-bit neighbours
-(``maximal_keys``, ``minimal_keys``); a constant per bit folds a value
-over a key's members (``fold_or``, ``fold_and``).
+(``maximal_keys``, ``minimal_keys``).  Folding a value per bit over a
+key's members (``fold_or``, ``fold_and``) needs no pairing: it fills
+the table in doubling blocks, each key from the key without its top bit.
 """
 
 from __future__ import annotations
@@ -32,17 +33,23 @@ def _halves(a: np.ndarray, m: int):
 
 def fold_or(m: int, values: list[int]) -> np.ndarray:
     """out[F] = OR of values[t] over bits t of F (0 for F = 0)."""
-    out = np.zeros(1 << m, dtype=np.int64)
-    for value, (_, hi) in zip(values, _halves(out, m), strict=True):
-        hi |= value
-    return out
+    return _fold(np.bitwise_or, m, values, 0)
 
 
 def fold_and(m: int, values: list[int], init: int) -> np.ndarray:
     """out[F] = AND of values[t] over bits t of F (init for F = 0)."""
-    out = np.full(1 << m, init, dtype=np.int64)
-    for value, (_, hi) in zip(values, _halves(out, m), strict=True):
-        hi &= value
+    return _fold(np.bitwise_and, m, values, init)
+
+
+def _fold(op, m: int, values: list[int], init: int) -> np.ndarray:
+    """The keys with top bit t are the keys below 2^t plus bit t, so each
+    bit fills the next block of the table from the blocks before it."""
+    if len(values) != m:
+        raise ValueError(f"{len(values)} values for {m} slots")
+    out = np.empty(1 << m, dtype=np.int64)
+    out[0] = init
+    for t, value in enumerate(values):
+        op(out[: 1 << t], value, out=out[1 << t : 2 << t])
     return out
 
 
@@ -104,10 +111,6 @@ def vee_key(f: int, g: int) -> int:
         for t in bits(g):
             out |= 1 << (s | t)
     return out
-
-
-def key_to_masks(key: int) -> list[int]:
-    return list(bits(key))
 
 
 def masks_to_key(masks) -> int:

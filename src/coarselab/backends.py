@@ -337,23 +337,6 @@ def restrict(backend: LSRBackend, y) -> LSRBackend:
 
 
 # ---------------------------------------------------------------------------
-# Membership / boundedness / connectedness entry points
-# ---------------------------------------------------------------------------
-
-
-def member(backend: LSRBackend, sets) -> TriVerdict:
-    return backend.member(sets)
-
-
-def bounded(backend: LSRBackend, s) -> TriVerdict:
-    return backend.bounded(s)
-
-
-def is_connected(backend: LSRBackend) -> TriVerdict:
-    return backend.is_connected()
-
-
-# ---------------------------------------------------------------------------
 # Relation neighborhoods
 # ---------------------------------------------------------------------------
 
@@ -435,7 +418,6 @@ def lambda_of(backend: LSRBackend) -> ExplicitASR | LineAlikeRule:
 class NearnessQuery:
     backend: LSRBackend
     sets: Family | Sequence[ls.LineSet]
-    closure: tuple[int, ...] | None = None  # explicit backends only
     scale_budget: int = DEFAULT_SCALE_BUDGET
     window: int = DEFAULT_WINDOW
 
@@ -475,32 +457,20 @@ def _nearness_of_explicit(q: NearnessQuery) -> TriVerdict:
     backend: FiniteBackend = q.backend
     universe = backend.universe
     fam: Family = q.sets
-    cl = q.closure if q.closure is not None else discrete_closure(universe)
-    inter = (1 << universe.size) - 1
-    for s in fam.masks():
-        inter &= cl[s]
+    inter = fam.intersection_mask()
     if inter:
         point = universe.elements[next(bo.bits(inter))]
         return TriVerdict.yes(clause="common-point", point=point)
-    table = backend.member_table()
-    ub_mask = ((1 << (1 << universe.size)) - 1) & ~backend.bounded_mask()
-    key = fam.mask_key()
-    for wit in np.nonzero(table)[0]:
-        wit = int(wit)
-        if wit == 0 or wit & ~ub_mask:
-            continue
-        if _refines_key(wit, key):
-            return TriVerdict.yes(
-                clause="unbounded-refiner", witness=str(Family.from_mask_key(universe, wit))
-            )
+    # a refiner is a member family without bounded members that has a
+    # member inside each member of the queried family
+    members = np.flatnonzero(backend.member_table())
+    ok = (members != 0) & ((members & backend.bounded_mask()) == 0)
+    for a in fam.masks():
+        ok &= (members & sum(1 << sub for sub in bo.submasks(a))) != 0
+    if ok.any():
+        witness = Family.from_mask_key(universe, int(members[ok][0]))
+        return TriVerdict.yes(clause="unbounded-refiner", witness=str(witness))
     return TriVerdict.no(clause="exhausted", family=str(fam))
-
-
-def _refines_key(b_key: int, a_key: int) -> bool:
-    for amask in bo.bits(a_key):
-        if not any(bmask & ~amask == 0 for bmask in bo.bits(b_key)):
-            return False
-    return True
 
 
 def _nearness_of_line(q: NearnessQuery) -> TriVerdict:

@@ -387,16 +387,11 @@ def asdim_explicit(b: FiniteBackend) -> AsdimReport:
 
     union = bo.fold_or(slots, list(range(1, m)))
 
-    member_table = b.member_table()
-    tkey = np.zeros(size, dtype=np.int64)
-    for a in range(1, m):
-        meet = 0
-        for s in range(1, m):
-            if a & s:
-                meet |= 1 << (s - 1)
-        cond = ((a & ~union) == 0) & ((idx & ~meet) == 0)
-        tkey[cond] |= 1 << a
-    t_ok = member_table[tkey]
+    # tkey[F]: key of the nonempty sets inside F's union that meet every member
+    meets = [sum(1 << a for a in range(1, m) if a & s) for s in range(1, m)]
+    inside = np.array([sum(1 << a for a in bo.submasks(u) if a) for u in range(m)])
+    tkey = bo.fold_and(slots, meets, (1 << m) - 2) & inside[union]
+    t_ok = b.member_table()[tkey]
     t_ok[0] = True  # empty subfamily is outside the quantifier
 
     ub = ~bo.or_has_submask(~t_ok, slots)

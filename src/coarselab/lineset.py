@@ -494,23 +494,6 @@ def odds() -> PeriodicSet:
 
 
 # ---------------------------------------------------------------------------
-# Spec-facing wrappers
-# ---------------------------------------------------------------------------
-
-
-def member(s: LineSet, n: int) -> bool:
-    return s.contains(n)
-
-
-def window(s: LineSet, hi: int) -> list[int]:
-    return s.window(hi)
-
-
-def is_finite(s: LineSet) -> bool:
-    return s.is_finite()
-
-
-# ---------------------------------------------------------------------------
 # Point distances
 # ---------------------------------------------------------------------------
 

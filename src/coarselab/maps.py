@@ -21,6 +21,7 @@ from . import _bitops as bo
 from . import lineset as ls
 from .backends import FiniteBackend, MetricLineBackend
 from .setcore import Family, Subset
+from .structures import bounded_mask
 from .verdict import TriVerdict
 
 SAMPLE_WINDOW = 2000
@@ -65,6 +66,11 @@ class ExplicitMap:
         for s in bo.bits(key):
             out |= 1 << self.image_mask(s)
         return out
+
+    def image_table(self) -> np.ndarray:
+        """image_key of every domain family key, in one sweep."""
+        m = 1 << self.domain.universe.size
+        return bo.fold_or(m, [1 << self.image_mask(s) for s in range(m)])
 
     def compose(self, other: "ExplicitMap") -> "ExplicitMap":
         """self after other."""
@@ -212,18 +218,18 @@ def is_lsr_map(f: SpaceMap) -> TriVerdict:
 
 def _is_lsr_map_explicit(f: ExplicitMap) -> TriVerdict:
     dom, cod = f.domain, f.codomain
-    dom_table = dom.member_table()
-    cod_table = cod.member_table()
-    for key in np.nonzero(dom_table)[0]:
-        ikey = f.image_key(int(key))
-        if not cod_table[ikey]:
-            return TriVerdict.no(
-                reason="image-not-member",
-                family=str(Family.from_mask_key(dom.universe, int(key))),
-                image=str(Family.from_mask_key(cod.universe, ikey)),
-            )
-    bounded_cod = cod.bounded_mask()
-    bounded_dom = dom.bounded_mask()
+    dom_table, cod_table = dom.member_table(), cod.member_table()
+    img = f.image_table()
+    bad = np.flatnonzero(dom_table & ~cod_table[img])
+    if bad.size:
+        key = int(bad[0])
+        return TriVerdict.no(
+            reason="image-not-member",
+            family=str(Family.from_mask_key(dom.universe, key)),
+            image=str(Family.from_mask_key(cod.universe, int(img[key]))),
+        )
+    bounded_cod = bounded_mask(cod_table, cod.universe.size)
+    bounded_dom = bounded_mask(dom_table, dom.universe.size)
     m_cod = 1 << cod.universe.size
     for bmask in range(m_cod):
         if not bounded_cod >> bmask & 1:
@@ -313,13 +319,8 @@ def _check_absorption_explicit(
     """First family whose composite image is a member while the union
     with the original is not."""
     table = backend.member_table()
-    m = 1 << backend.universe.size
-    size = 1 << m
-    comp_img = np.zeros(size, dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    for s in range(m):
-        comp_img[(idx >> s & 1) == 1] |= 1 << comp.image_mask(s)
-    cond = table[comp_img] & ~table[comp_img | idx]
+    comp_img = comp.image_table()
+    cond = table[comp_img] & ~table[comp_img | np.arange(table.size)]
     bad = np.nonzero(cond)[0]
     if bad.size == 0:
         return None

@@ -206,6 +206,8 @@ def bunch_obstruction(
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
     awin, bwin, lw_pad = ls._sparsify_windows(pivot, window)
+    if awin.size == 0 or bwin.size == 0:
+        raise ObstructionRejected("window too small for the pivot member")
     side1, side2, coverage, side_windows = ls._split_with_windows(half1, half2, awin, bwin, window)
 
     checks: list[ScaleCheck] = []

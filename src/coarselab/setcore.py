@@ -62,10 +62,6 @@ class Universe:
     def full_subset(self) -> "Subset":
         return Subset(self, (1 << self.size) - 1)
 
-    def all_subsets(self) -> Iterator["Subset"]:
-        for mask in range(1 << self.size):
-            yield Subset(self, mask)
-
     def family(self, subsets: Iterable["Subset" | Iterable[str]]) -> "Family":
         members = []
         for s in subsets:
@@ -191,12 +187,6 @@ class Family:
         result = (1 << self.universe.size) - 1
         for m in self.members:
             result &= m.mask
-        return result
-
-    def union_mask(self) -> int:
-        result = 0
-        for m in self.members:
-            result |= m.mask
         return result
 
     def subfamilies(self) -> Iterator["Family"]:

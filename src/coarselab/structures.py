@@ -96,11 +96,10 @@ def bounded_mask(table: np.ndarray, n: int) -> int:
     """Mask over the subset slots of an n-point universe: bit s set iff
     the subset s is bounded, i.e. some family {s, {x}} is in the member
     table.  The empty subset is bounded by definition."""
-    out = 1
-    for s in range(1, 1 << n):
-        if any(table[bo.masks_to_key([s, 1 << x])] for x in range(n)):
-            out |= 1 << s
-    return out
+    slots = np.arange(1 << n)
+    bounded = table[(1 << slots)[:, None] | 1 << (1 << np.arange(n))].any(axis=1)
+    bounded[0] = True
+    return int((bounded << slots).sum())
 
 
 class ExplicitLSR:
@@ -155,13 +154,10 @@ class ExplicitLSR:
             raise ValueError("subspace lives in a different universe")
         if y.is_empty:
             raise ValueError("subspace must be nonempty")
-        sub_universe = Universe(y.labels())
-        new_keys = set()
-        for key in self.keys:
-            masks = bo.key_to_masks(key)
-            if all(m & ~y.mask == 0 for m in masks):
-                new_keys.add(bo.masks_to_key([_repack(m, y.mask) for m in masks]))
-        return ExplicitLSR(sub_universe, new_keys)
+        m = self.slots
+        outside = bo.fold_or(m, [s & ~y.mask for s in range(m)])
+        image = bo.fold_or(m, [1 << _repack(s, y.mask) for s in range(m)])
+        return ExplicitLSR(Universe(y.labels()), image[self.table() & (outside == 0)].tolist())
 
 
 def _repack(mask: int, within: int) -> int:
@@ -444,12 +440,6 @@ class ExplicitNearness:
     def table(self) -> np.ndarray:
         return self._table
 
-    def closure_family_key(self, key: int) -> int:
-        out = 0
-        for s in bo.bits(key):
-            out |= 1 << self.closure[s]
-        return out
-
 
 def topological_nearness(
     universe: Universe, closure: tuple[int, ...] | None = None
@@ -584,13 +574,16 @@ def _find_flagged_submask(flag: np.ndarray, start: int, m: int) -> int:
 
 def is_h_nearness(n: ExplicitNearness) -> tuple[bool, dict | None]:
     """Does nearness of the closure family force nearness of the family?"""
-    for key in range(1 << n.slots):
-        if n.is_near_key(n.closure_family_key(key)) and not n.is_near_key(key):
-            return False, {
-                "family": _family_str(n.universe, key),
-                "closure_family": _family_str(n.universe, n.closure_family_key(key)),
-            }
-    return True, None
+    table = n.table()
+    closure_family = bo.fold_or(n.slots, [1 << c for c in n.closure])
+    bad = np.flatnonzero(table[closure_family] & ~table)
+    if bad.size == 0:
+        return True, None
+    key = int(bad[0])
+    return False, {
+        "family": _family_str(n.universe, key),
+        "closure_family": _family_str(n.universe, int(closure_family[key])),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,33 @@ def random_periodic(rng: random.Random, allow_finite: bool = False) -> PeriodicS
     cand = body.window(40)
     rem = tuple(rng.sample(cand, min(len(cand), rng.randint(0, 2))))
     return PeriodicSet(fin, aps, rem)
+
+
+def _members(key: int) -> list[int]:
+    return [s for s in range(key.bit_length()) if key >> s & 1]
+
+
+def unbounded_refiners(table, n: int) -> list[tuple[int, list[int]]]:
+    """(key, members), ascending, of the nonempty member families without
+    a bounded member; a set s is bounded when some family {s, {x}} is a
+    member."""
+
+    def bounded(s: int) -> bool:
+        return s == 0 or any(table[1 << s | 1 << (1 << x)] for x in range(n))
+
+    out = []
+    for wit in range(1, len(table)):
+        if table[wit]:
+            members = _members(wit)
+            if not any(bounded(s) for s in members):
+                out.append((wit, members))
+    return out
+
+
+def first_refiner(refiners: list[tuple[int, list[int]]], key: int) -> int | None:
+    """First refiner with a member inside each member of the family ``key``."""
+    sets = _members(key)
+    for wit, members in refiners:
+        if all(any(b & ~a == 0 for b in members) for a in sets):
+            return wit
+    return None

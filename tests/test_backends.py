@@ -16,7 +16,6 @@ from coarselab.backends import (
     PartitionCoarseBackend,
     TopoTraceBackend,
     induced_nearness,
-    is_connected,
     lambda_of,
     n_e_of_l,
     nearness_of,
@@ -35,6 +34,8 @@ from coarselab.structures import (
     is_a_lsr,
     is_h_nearness,
 )
+
+from oracles import first_refiner, unbounded_refiners
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -161,8 +162,8 @@ class TestLineBackends:
             assert sampled_line_axiom_report(backend, seed=1, samples=200).passed
 
     def test_connected(self):
-        assert is_connected(MetricLineBackend()).is_yes
-        assert is_connected(TopoTraceBackend()).is_yes
+        assert MetricLineBackend().is_connected().is_yes
+        assert TopoTraceBackend().is_connected().is_yes
 
 
 class TestNeighborhoods:
@@ -273,10 +274,28 @@ class TestInducedNearness:
                     bad.append((universe.size, sorted(b.bit_count() for b in blocks)))
         assert bad == [(4, [2, 2]), (4, [2, 2]), (4, [2, 2])]
 
+    def _check_query_path(self, b, keys):
+        # the materialized collection against the per-family query, and
+        # the query's refiner clause against the plain scan of the oracle
+        near = induced_nearness(b)
+        refiners = unbounded_refiners(b.member_table(), b.universe.size)
+        refined = 0
+        for key in keys:
+            v = nearness_of(NearnessQuery(b, Family.from_mask_key(b.universe, key)))
+            assert near.is_near_key(key) == v.is_yes, (b.describe(), key)
+            if v.witness["clause"] == "common-point":
+                continue
+            wit = first_refiner(refiners, key)
+            if v.is_yes:
+                assert v.witness["witness"] == str(Family.from_mask_key(b.universe, wit))
+                refined += 1
+            else:
+                assert wit is None, (b.describe(), key)
+        return refined
+
     def test_table_matches_query_path(self):
-        # the materialized collection, key by key, against the independent
-        # per-family query; on at most 3 points only the pairwise-meeting
-        # unbounded triangle {ab, bc, ac} reaches the refiner clause
+        # on at most 3 points only the pairwise-meeting unbounded triangle
+        # {ab, bc, ac} reaches the refiner clause
         backends = [
             PartitionCoarseBackend(u, blocks)
             for u in (Universe.of("a"), U2, U3)
@@ -286,33 +305,25 @@ class TestInducedNearness:
         backends.append(ExplicitBackend(close_lsr(U3, [fam(U3, "ab", "bc", "ac").mask_key()])))
         refined = 0
         for b in backends:
-            near = induced_nearness(b)
-            for key in range(1 << (1 << b.universe.size)):
-                v = nearness_of(NearnessQuery(b, Family.from_mask_key(b.universe, key)))
-                assert near.is_near_key(key) == v.is_yes, (b.describe(), key)
-                refined += v.is_yes and v.witness["clause"] == "unbounded-refiner"
+            refined += self._check_query_path(b, range(1 << (1 << b.universe.size)))
         assert refined > 0
 
-    def test_metric_line_product_axiom_on_seeded_pairs(self):
-        from oracles import random_periodic
-
-        mb = MetricLineBackend()
-        rng = random.Random(424242)
-
-        def near(sets):
-            return nearness_of(NearnessQuery(mb, sets)).is_yes
-
-        checked = 0
-        while checked < 500:
-            a = [random_periodic(rng, allow_finite=True) for _ in range(rng.randint(1, 2))]
-            b = [random_periodic(rng, allow_finite=True) for _ in range(rng.randint(1, 2))]
-            if any(s.is_empty() for s in a + b):
-                continue
-            if near(a) or near(b):
-                continue
-            product = [ls.union(x, y) for x in a for y in b]
-            assert not near(product), (a, b)
-            checked += 1
+    def test_table_matches_query_path_on_four_points(self):
+        # every key near without a common point, plus seeded keys; on 4
+        # points those near keys all sit on the three {2,2} partitions
+        backends = [PartitionCoarseBackend(U4, blocks) for blocks in all_partitions(U4)]
+        closures = (random_lsr(U4, random.Random(seed)) for seed in itertools.count())
+        backends += itertools.islice((ExplicitBackend(c) for c in closures if c), 20)
+        keys = np.arange(1 << 16)
+        inter = np.full(keys.size, 15)
+        for s in range(16):
+            inter[keys >> s & 1 == 1] &= s
+        rng = random.Random(4)
+        refined = 0
+        for b in backends:
+            apart = np.flatnonzero(induced_nearness(b).table() & (inter == 0)).tolist()
+            refined += self._check_query_path(b, apart + rng.sample(range(1 << 16), 256))
+        assert refined >= 966
 
     def test_h_nearness_with_closure_tables(self):
         # one-block backends against every valid closure table on 2 points

@@ -112,6 +112,26 @@ class TestBunch:
         assert code == 1
         assert "rejected" in out
 
+    def test_short_pivot_window_exits_one_without_traceback(self, tmp_path):
+        doc = json.loads(NAT_LINE.read_text())
+        doc["budgets"]["window"] = 5
+        doc["queries"]["bunch"] = [
+            {"sets": [{"kind": "periodic", "progressions": [[0, 40]]},
+                      {"kind": "periodic", "progressions": [[1, 40]]}]}
+        ]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", "bunch", str(path), "--json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["details"] == [
+            {"query": 0, "rejected": "window too small for the pivot member"}
+        ]
+
 
 class TestMap:
     def test_equivalence_verified(self, capsys):

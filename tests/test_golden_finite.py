@@ -1,0 +1,156 @@
+"""Golden digest of the finite tier.
+
+Each record is the JSON of one finite-tier result on a fixed input grid:
+bounded sets, subspace restrictions, asymptotic dimension and induced
+nearness queries per backend, the H-nearness check per closure table,
+and the map and equivalence checks per map pair.  ``golden/finite.sha256``
+holds one sha256 per record, in ``sha256sum`` layout; a faster
+implementation must reproduce every record byte for byte.  A digest may
+change only together with a CHANGES.md line that says why.
+
+Regenerate with ``PYTHONPATH=src python tests/test_golden_finite.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+
+from coarselab.backends import (
+    ExplicitBackend,
+    NearnessQuery,
+    PartitionCoarseBackend,
+    induced_nearness,
+    nearness_of,
+)
+from coarselab.dimension import asdim_explicit
+from coarselab.maps import ExplicitMap, is_ls_equivalence, is_lsr_map
+from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
+from coarselab.setcore import Family, Subset
+from coarselab.structures import ExplicitNearness, bounded_mask, is_h_nearness
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "finite.sha256"
+
+
+def _backends():
+    for n in range(1, 5):
+        u = universe_of_size(n)
+        for blocks in all_partitions(u):
+            yield f"partition{n}:{blocks}", PartitionCoarseBackend(u, blocks)
+    for n, seeds in ((3, range(8)), (4, range(3))):
+        u = universe_of_size(n)
+        for seed in seeds:
+            yield f"random{n}:{seed}", ExplicitBackend(random_lsr(u, random.Random(seed)))
+    u = universe_of_size(3)  # pairwise meeting and unbounded: reaches the refiner clause
+    yield "triangle3", ExplicitBackend(close_lsr(u, [u.family(["ab", "bc", "ac"]).mask_key()]))
+
+
+def _random_closure(n: int, rng: random.Random) -> tuple[int, ...]:
+    """Closure of a seeded preorder: cl(A) is everything reachable from A."""
+    reach = [1 << x | rng.getrandbits(n) & rng.getrandbits(n) for x in range(n)]
+    for _ in range(n):
+        reach = [r | _union(reach, r) for r in reach]
+    return tuple(_union(reach, a) for a in range(1 << n))
+
+
+def _union(reach: list[int], a: int) -> int:
+    out = 0
+    for x, r in enumerate(reach):
+        if a >> x & 1:
+            out |= r
+    return out
+
+
+def _backend_records(label, b):
+    n = b.universe.size
+    m = 1 << n
+    table = b.member_table()
+    yield f"{label} bounded_mask", bounded_mask(table, n)
+    yield f"{label} restrict", [
+        sorted(b.to_explicit().restrict(Subset(b.universe, y)).keys) for y in range(1, m)
+    ]
+    yield f"{label} asdim_explicit", asdim_explicit(b).to_json()
+    if n <= 3:
+        keys = range(1 << m)
+    else:  # half of the sample from the near keys, where the clauses differ
+        rng = random.Random(label)
+        near = np.flatnonzero(induced_nearness(b).table()).tolist()
+        keys = rng.sample(range(1 << m), 24) + rng.sample(near, 24)
+    yield f"{label} nearness_of", [
+        nearness_of(NearnessQuery(b, Family.from_mask_key(b.universe, k))).to_json()
+        for k in keys
+    ]
+
+
+def _nearness_records():
+    for n in (2, 3, 4):
+        u = universe_of_size(n)
+        pb = PartitionCoarseBackend(u, [(1 << n) - 1])
+        for seed in range(6):
+            rng = random.Random(seed)
+            cl = _random_closure(n, rng)
+            yield f"h-nearness induced{n}:{seed}", is_h_nearness(induced_nearness(pb, closure=cl))
+            keys = [k for k in range(1 << (1 << n)) if rng.random() < 0.5]
+            yield f"h-nearness random{n}:{seed}", is_h_nearness(ExplicitNearness(u, keys, cl))
+
+
+def _map_records():
+    small = [(label, b) for label, b in _backends() if b.universe.size <= 2]
+    for (dl, d), (cl, c) in itertools.product(small, repeat=2):
+        n1, n2 = d.universe.size, c.universe.size
+        for t1 in itertools.product(range(n2), repeat=n1):
+            f = ExplicitMap(d, c, t1)
+            yield f"map {dl} -> {cl} {t1}", is_lsr_map(f).to_json()
+            for t2 in itertools.product(range(n1), repeat=n2):
+                g = ExplicitMap(c, d, t2)
+                yield f"equivalence {dl} <-> {cl} {t1} {t2}", is_ls_equivalence(f, g).to_json()
+    large = [(label, b) for label, b in _backends() if b.universe.size >= 3]
+    rng = random.Random(60)
+    for i in range(60):
+        dl, d = rng.choice(large)
+        n1 = d.universe.size
+        if i % 2:
+            cl, c = rng.choice(large)
+            n2 = c.universe.size
+            t1 = tuple(rng.randrange(n2) for _ in range(n1))
+            t2 = tuple(rng.randrange(n1) for _ in range(n2))
+        else:  # a relabelling and its inverse, so that some pairs pass
+            cl, c = rng.choice([(label, b) for label, b in large if b.universe.size == n1])
+            perm = list(range(n1))
+            rng.shuffle(perm)
+            t1, t2 = tuple(perm), tuple(perm.index(y) for y in range(n1))
+        f, g = ExplicitMap(d, c, t1), ExplicitMap(c, d, t2)
+        yield f"map {dl} -> {cl} {t1}", is_lsr_map(f).to_json()
+        yield f"equivalence {dl} <-> {cl} {t1} {t2}", is_ls_equivalence(f, g).to_json()
+
+
+def finite_records():
+    """(label, canonical JSON) for every record of the grid, in order."""
+    for label, b in _backends():
+        for name, value in _backend_records(label, b):
+            yield name, json.dumps(value, sort_keys=True, separators=(",", ":"))
+    for name, value in itertools.chain(_nearness_records(), _map_records()):
+        yield name, json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _digest_lines():
+    for label, text in finite_records():
+        yield f"{hashlib.sha256(text.encode()).hexdigest()}  {label}", text
+
+
+def test_finite_golden_digest():
+    expected = GOLDEN.read_text().splitlines()
+    got = list(_digest_lines())
+    for i, (want, (line, text)) in enumerate(zip(expected, got)):
+        assert line == want, f"record {i} differs: {line!r}, golden {want!r}; now {text[:400]}"
+    assert len(got) == len(expected), f"{len(got)} records, golden has {len(expected)}"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("".join(line + "\n" for line, _ in _digest_lines()))

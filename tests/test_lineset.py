@@ -19,10 +19,8 @@ from coarselab.lineset import (
     hausdorff_at_scale,
     hausdorff_distance,
     intersection,
-    is_finite,
     is_subset,
     lineset_from_json,
-    member,
     naturals,
     normality_split,
     odds,
@@ -30,7 +28,6 @@ from coarselab.lineset import (
     sparsify_split,
     union,
     verify_gap_certificate,
-    window,
 )
 
 from oracles import brute_hausdorff, random_periodic
@@ -38,15 +35,15 @@ from oracles import brute_hausdorff, random_periodic
 
 class TestMembership:
     def test_periodic_even(self):
-        assert member(evens(), 4)
+        assert evens().contains(4)
 
     def test_geometric_non_power(self):
-        assert not member(GeometricSet(1, 2, 1), 12)
+        assert not GeometricSet(1, 2, 1).contains(12)
 
     def test_explicit_removal(self):
         s = PeriodicSet(progressions=((1, 3),), removals=(7,))
-        assert not member(s, 7)
-        assert member(s, 10)
+        assert not s.contains(7)
+        assert s.contains(10)
 
     def test_removal_outside_body_rejected(self):
         with pytest.raises(ValueError):
@@ -55,24 +52,24 @@ class TestMembership:
 
 class TestWindow:
     def test_evens(self):
-        assert window(evens(), 5) == [0, 2, 4]
+        assert evens().window(5) == [0, 2, 4]
 
     def test_geometric(self):
-        assert window(GeometricSet(1, 2, 1), 20) == [2, 4, 8, 16]
+        assert GeometricSet(1, 2, 1).window(20) == [2, 4, 8, 16]
 
     def test_naturals(self):
-        assert window(naturals(), 3) == [0, 1, 2, 3]
+        assert naturals().window(3) == [0, 1, 2, 3]
 
 
 class TestIsFinite:
     def test_finite_list(self):
-        assert is_finite(FiniteSet((1, 5, 9)))
+        assert FiniteSet((1, 5, 9)).is_finite()
 
     def test_evens(self):
-        assert not is_finite(evens())
+        assert not evens().is_finite()
 
     def test_periodic_without_progressions(self):
-        assert is_finite(PeriodicSet(finite_part=(3,)))
+        assert PeriodicSet(finite_part=(3,)).is_finite()
 
 
 class TestHausdorffExact:
@@ -190,13 +187,13 @@ class TestSparsifySplit:
         left, right = sparsify_split(naturals())
         # simulated from the index rule: side 0 takes 1-based indices
         # [16^j, 2*16^j), side 1 takes [4*16^j, 8*16^j)
-        assert window(left, 40) == [0] + list(range(15, 31))
-        assert window(right, 62) == [3, 4, 5, 6]
+        assert left.window(40) == [0] + list(range(15, 31))
+        assert right.window(62) == [3, 4, 5, 6]
 
     def test_both_infinite(self):
         left, right = sparsify_split(naturals())
-        assert not is_finite(left) and not is_finite(right)
-        assert len(window(left, 10**5)) > 1000
+        assert not left.is_finite() and not right.is_finite()
+        assert len(left.window(10**5)) > 1000
 
     def test_mutual_refutation_up_to_64(self):
         left, right = sparsify_split(naturals())
@@ -206,8 +203,8 @@ class TestSparsifySplit:
     def test_subsets_of_base(self):
         base = evens()
         left, right = sparsify_split(base)
-        for x in window(left, 500) + window(right, 500):
-            assert member(base, x)
+        for x in left.window(500) + right.window(500):
+            assert base.contains(x)
 
     def test_finite_rejected(self):
         with pytest.raises(LineSetError):
@@ -219,14 +216,14 @@ class TestNormalitySplit:
         a, b = GeometricSet(1, 2, 1), FiniteSet((0,))
         x1, x2, v = normality_split(a, b, 200)
         # side nearer b is the small neighborhood of 0; side nearer a is cofinite
-        assert window(x1, 30) == [0, 1]
-        assert window(x2, 12) == list(range(1, 13))
+        assert x1.window(30) == [0, 1]
+        assert x2.window(12) == list(range(1, 13))
         assert v.is_yes
 
     def test_coverage(self):
         a, b = evens(), odds()
         x1, x2, _ = normality_split(a, b, 300)
-        covered = set(window(x1, 300)) | set(window(x2, 300))
+        covered = set(x1.window(300)) | set(x2.window(300))
         assert covered == set(range(301))
 
     def test_sparsified_halves(self):
@@ -265,8 +262,8 @@ class TestWindowArray:
     @settings(max_examples=300, deadline=None)
     @given(periodic_sets(), st.integers(0, 320))
     def test_periodic_matches_window(self, s, hi):
-        assert_window(s, hi, window(s, hi))
-        assert window(s, hi) == [n for n in range(hi + 1) if s.contains(n)]
+        assert_window(s, hi, s.window(hi))
+        assert s.window(hi) == [n for n in range(hi + 1) if s.contains(n)]
 
     @seed(20261018)
     @settings(max_examples=100, deadline=None)
@@ -298,17 +295,17 @@ class TestWindowArray:
 
 class TestAlgebra:
     def test_union_covers_naturals(self):
-        assert window(union(evens(), odds()), 6) == list(range(7))
+        assert union(evens(), odds()).window(6) == list(range(7))
 
     def test_union_respects_removals(self):
         a = PeriodicSet(progressions=((0, 2),), removals=(4,))
         b = PeriodicSet(progressions=((0, 4),))
         u = union(a, b)  # 4 returns via b
-        assert member(u, 4)
+        assert u.contains(4)
 
     def test_intersection_crt(self):
         got = intersection(arithmetic(1, 3), arithmetic(2, 4))
-        assert window(got, 40) == [10, 22, 34]
+        assert got.window(40) == [10, 22, 34]
 
     def test_intersection_empty(self):
         got = intersection(arithmetic(0, 2), arithmetic(1, 2))

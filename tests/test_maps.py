@@ -91,6 +91,19 @@ class TestIsLsrMap:
         assert count > 0
 
 
+class TestImageTable:
+    def test_matches_image_key_on_every_key(self):
+        # the one-sweep image table against the per-key image, for seeded
+        # 4-point maps into 2, 3 and 4 points
+        rng = random.Random(44)
+        u = universe_of_size(4)
+        d = PartitionCoarseBackend(u, rng.choice(list(all_partitions(u))))
+        for n in (2, 3, 4):
+            c = PartitionCoarseBackend(universe_of_size(n), [(1 << n) - 1])
+            f = ExplicitMap(d, c, tuple(rng.randrange(n) for _ in range(4)))
+            assert f.image_table().tolist() == [f.image_key(k) for k in range(1 << 16)]
+
+
 class TestDisplacement:
     def test_identity(self):
         assert displacement_bound(LineMap.identity()).witness["bound"] == 0

@@ -45,6 +45,13 @@ class TestObstruction:
         with pytest.raises(ObstructionRejected, match="exact-tier"):
             bunch_obstruction([ls.GeometricSet(1, 2, 1), ls.evens()])
 
+    def test_short_pivot_window_rejected(self):
+        # {0, 40, 80} is all of the pivot in [0, 5 * 5 + 64]: the second
+        # sparsify half has no point in the window
+        members = [ls.arithmetic(0, 40), ls.arithmetic(1, 40)]
+        with pytest.raises(ObstructionRejected, match="window too small for the pivot member"):
+            bunch_obstruction(members, scale_budget=32, window=5)
+
     def test_halves_inside_pivot(self):
         cert = bunch_obstruction([ls.evens(), ls.odds()], 8, 10**4)
         for half in (cert.half1, cert.half2):
