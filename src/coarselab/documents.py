@@ -52,15 +52,16 @@ class InstanceDocument:
 
     @property
     def scale_budget(self) -> int:
-        return int(self.budgets.get("scale", 32))
+        return _integer(self.budgets.get("scale", 32), "budgets.scale")
 
     @property
     def window(self) -> int:
-        return int(self.budgets.get("window", 10**5))
+        return _integer(self.budgets.get("window", 10**5), "budgets.window")
 
     @property
     def asdim_windows(self) -> list[int]:
-        return [int(n) for n in self.budgets.get("asdim_windows", [16, 32, 64, 128, 256, 512])]
+        windows = self.budgets.get("asdim_windows", [16, 32, 64, 128, 256, 512])
+        return [_integer(n, "budgets.asdim_windows") for n in windows]
 
     def universe(self) -> Universe:
         if self.space.get("kind") != "finite":
@@ -72,6 +73,12 @@ class InstanceDocument:
             if s.get("name") == name:
                 return s
         raise SchemaError(f"no structure named {name!r}")
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def load_document(text: str) -> InstanceDocument:
@@ -225,4 +232,15 @@ def _line_map(desc: dict) -> LineMap:
 
 
 def build_line_sets(descs: list[dict]) -> list[ls.LineSet]:
-    return [ls.lineset_from_json(d) for d in descs]
+    """Line sets of a query; a set that is not an object, or that the
+    line-set layer refuses (including a ``LineSetError``), is a schema
+    error naming its index."""
+    sets = []
+    for i, desc in enumerate(descs):
+        if not isinstance(desc, dict):
+            raise SchemaError(f"set {i}: not an object")
+        try:
+            sets.append(ls.lineset_from_json(desc))
+        except ValueError as e:
+            raise SchemaError(f"set {i}: {e}") from e
+    return sets

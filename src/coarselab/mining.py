@@ -8,7 +8,6 @@ reproducible from the seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
@@ -74,31 +73,34 @@ def close_lsr(
 ) -> ExplicitLSR | None:
     """Smallest valid collection containing the given family keys:
     closes under subfamilies, intersecting unions, and the pairwise
-    union product.  None when the closure outgrows the cap."""
+    union product.  None when the closure outgrows the cap.
+
+    Each round pairs the maximal keys of a 2^m-entry member table, one
+    block of pairs at a time, and adds the down-closure of the unions and
+    products not yet in it.  The cap is checked after every block, so a
+    closure that runs away to all 2^m keys stops in its first large block."""
     m = 1 << universe.size
-    keys: set[int] = {0} | {1 << s for s in range(m)}
-    for gen in generator_keys:
-        for sub in bo.submasks(gen):
-            keys.add(sub)
+    base = [0] + [1 << s for s in range(m)]
+    table = bo.down_closure(base + list(generator_keys), m)
+    size = int(np.count_nonzero(table))
     changed = True
     while changed:
         changed = False
-        table = np.zeros(1 << m, dtype=bool)
-        table[list(keys)] = True
-        tops = [int(k) for k in np.nonzero(bo.maximal_keys(table, m))[0]]
-        for f, g in itertools.combinations_with_replacement(tops, 2):
-            new = []
-            if f & g:
-                new.append(f | g)
-            new.append(bo.vee_key(f, g))
-            for key in new:
-                if key not in keys:
-                    for sub in bo.submasks(key):
-                        keys.add(sub)
-                    changed = True
-            if len(keys) > cap:
+        tops = np.flatnonzero(bo.maximal_keys(table, m))
+        img = bo.vee_images(tops, m)
+        for i0, i1, upper in bo.pair_blocks(len(tops)):
+            f, g = tops[i0:i1, None], tops[None, i0:]
+            new = np.concatenate(
+                [(f | g)[upper & (f & g != 0)], bo.vee_block(tops[i0:i1], img[:, i0:])[upper]]
+            )
+            new = new[~table[new]]
+            if new.size:
+                table |= bo.down_closure(new, m)
+                size = int(np.count_nonzero(table))
+                changed = True
+            if size > cap:
                 return None
-    lsr = ExplicitLSR(universe, keys)
+    lsr = ExplicitLSR(universe, np.flatnonzero(table).tolist())
     assert check_lsr_axioms(lsr).passed
     return lsr
 

@@ -184,14 +184,16 @@ def check_lsr_axioms(c: ExplicitLSR) -> CheckReport:
         else AxiomResult("singletons", False, {"missing": _subset_str(u, missing[0])})
     )
 
+    table = c.table()
     down_bad = None
-    for key in c.keys:
-        for t in bo.bits(key):
-            if key ^ (1 << t) not in c.keys:
-                down_bad = (key, key ^ (1 << t))
+    if not _is_down_closed(table, m):
+        for key in c.keys:
+            for t in bo.bits(key):
+                if key ^ (1 << t) not in c.keys:
+                    down_bad = (key, key ^ (1 << t))
+                    break
+            if down_bad:
                 break
-        if down_bad:
-            break
     results.append(
         AxiomResult("downward-closure", down_bad is None)
         if down_bad is None
@@ -207,17 +209,17 @@ def check_lsr_axioms(c: ExplicitLSR) -> CheckReport:
     downward_closed = down_bad is None
 
     if downward_closed:
-        tops = c.maximal_keys()
+        tops = np.flatnonzero(bo.maximal_keys(table, m))
     else:
         if len(c.keys) > 4096:
             raise CapExceeded("closure axioms need a downward-closed collection at this size")
-        tops = sorted(c.keys)
+        tops = np.flatnonzero(table)
 
-    bad = None
-    for f, g in itertools.combinations_with_replacement(tops, 2):
-        if f & g and (f | g) not in c.keys:
-            bad = (f, g, f | g)
-            break
+    def union_gap(i0, i1):
+        f, g = tops[i0:i1, None], tops[None, i0:]
+        return (f & g != 0) & ~table[f | g]
+
+    bad = _first_pair(tops, union_gap)
     results.append(
         AxiomResult("intersecting-union", bad is None)
         if bad is None
@@ -227,17 +229,13 @@ def check_lsr_axioms(c: ExplicitLSR) -> CheckReport:
             {
                 "left": _family_str(u, bad[0]),
                 "right": _family_str(u, bad[1]),
-                "missing_union": _family_str(u, bad[2]),
+                "missing_union": _family_str(u, bad[0] | bad[1]),
             },
         )
     )
 
-    bad = None
-    for f, g in itertools.combinations_with_replacement(tops, 2):
-        vk = bo.vee_key(f, g)
-        if vk not in c.keys:
-            bad = (f, g, vk)
-            break
+    img = bo.vee_images(tops, m)
+    bad = _first_pair(tops, lambda i0, i1: ~table[bo.vee_block(tops[i0:i1], img[:, i0:])])
     results.append(
         AxiomResult("union-product", bad is None)
         if bad is None
@@ -247,11 +245,24 @@ def check_lsr_axioms(c: ExplicitLSR) -> CheckReport:
             {
                 "left": _family_str(u, bad[0]),
                 "right": _family_str(u, bad[1]),
-                "missing_product": _family_str(u, bad[2]),
+                "missing_product": _family_str(u, bo.vee_key(*bad)),
             },
         )
     )
     return CheckReport("large-scale resemblance axioms", tuple(results))
+
+
+def _first_pair(keys: np.ndarray, bad) -> tuple[int, int] | None:
+    """First pair (keys[i], keys[j]), i <= j, in combinations_with_replacement
+    order that ``bad`` flags; bad(i0, i1) flags the row block keys[i0:i1]
+    against the columns keys[i0:]."""
+    for i0, i1, upper in bo.pair_blocks(len(keys)):
+        hit = upper & bad(i0, i1)
+        first = int(hit.argmax())
+        if hit.flat[first]:
+            r, c = divmod(first, hit.shape[1])
+            return int(keys[i0 + r]), int(keys[i0 + c])
+    return None
 
 
 def is_ls_regular(c: ExplicitLSR) -> tuple[bool, dict | None]:
@@ -505,28 +516,15 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
     # axiom: the pairwise-union product of two non-near families is not near
     down_closed = bad_growth is None and _is_down_closed(table, m)
     if down_closed:
-        mins = [int(k) for k in np.nonzero(bo.minimal_keys(~table, m))[0]]
-        bad_pair = None
-        for i, f in enumerate(mins):
-            for g in mins[i:]:
-                vk = bo.vee_key(f, g)
-                if table[vk]:
-                    bad_pair = (f, g, vk)
-                    break
-            if bad_pair:
-                break
+        pool = np.flatnonzero(bo.minimal_keys(~table, m))
     else:
         if (1 << m) > 512:
             raise CapExceeded(
                 "product axiom needs a downward-closed near collection at this size"
             )
-        nonmembers = [k for k in range(1 << m) if not table[k]]
-        bad_pair = None
-        for f, g in itertools.combinations_with_replacement(nonmembers, 2):
-            vk = bo.vee_key(f, g)
-            if table[vk]:
-                bad_pair = (f, g, vk)
-                break
+        pool = np.flatnonzero(~table)
+    img = bo.vee_images(pool, m)
+    bad_pair = _first_pair(pool, lambda i0, i1: table[bo.vee_block(pool[i0:i1], img[:, i0:])])
     results.append(
         AxiomResult("product", bad_pair is None)
         if bad_pair is None
@@ -536,7 +534,7 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
             {
                 "left": _family_str(u, bad_pair[0]),
                 "right": _family_str(u, bad_pair[1]),
-                "near_product": _family_str(u, bad_pair[2]),
+                "near_product": _family_str(u, bo.vee_key(*bad_pair)),
             },
         )
     )

@@ -2,16 +2,23 @@
 
 These deliberately avoid the library's own window-bound reasoning: they
 scan wide windows with plain bisect arithmetic so that agreement with
-the exact engines is meaningful.
+the exact engines is meaningful.  The finite-tier oracles work on Python
+sets of family keys, one key and one pair at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left
 from math import lcm
 
+import numpy as np
+
+from coarselab import _bitops as bo
 from coarselab.lineset import PeriodicSet
+from coarselab.setcore import Universe
+from coarselab.structures import ExplicitLSR
 
 
 def nearest_distance(sorted_elems: list[int], x: int) -> int:
@@ -75,3 +82,29 @@ def first_refiner(refiners: list[tuple[int, list[int]]], key: int) -> int | None
         if all(any(b & ~a == 0 for b in members) for a in sets):
             return wit
     return None
+
+
+def close_lsr_reference(universe: Universe, generator_keys, cap: int = 8192) -> ExplicitLSR | None:
+    """``mining.close_lsr`` by its set-based definition: every submask of
+    every new key goes into a Python set, and each round pairs the
+    maximal keys one pair at a time.  None once the set outgrows the cap."""
+    m = 1 << universe.size
+    keys: set[int] = {0} | {1 << s for s in range(m)}
+    for gen in generator_keys:
+        keys.update(bo.submasks(gen))
+    changed = True
+    while changed:
+        changed = False
+        table = np.zeros(1 << m, dtype=bool)
+        table[list(keys)] = True
+        tops = [int(k) for k in np.flatnonzero(bo.maximal_keys(table, m))]
+        for f, g in itertools.combinations_with_replacement(tops, 2):
+            new = [f | g] if f & g else []
+            new.append(bo.vee_key(f, g))
+            for key in new:
+                if key not in keys:
+                    keys.update(bo.submasks(key))
+                    changed = True
+            if len(keys) > cap:
+                return None
+    return ExplicitLSR(universe, keys)

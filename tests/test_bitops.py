@@ -1,16 +1,21 @@
 """The bit-sweep kernels against their per-key definitions.
 
-Each kernel is run on seeded random tables over m = 0..8 slots and
-compared, key by key, with a direct reading of its docstring.  Inputs
-are also passed as strided views, and must come back unchanged.
+Each kernel is run on seeded random tables over m = 0..8 and 12 slots
+and compared, key by key, with a direct reading of its docstring.
+Inputs are also passed as strided views, and must come back unchanged;
+from m = 5 up the sweeps pair whole 8-byte words.  The pairwise-union
+blocks are compared with the scalar ``vee_key`` for m = 1..16.
 """
+
+import itertools
+import random
 
 import numpy as np
 import pytest
 
 from coarselab import _bitops as bo
 
-SLOTS = range(9)
+SLOTS = [*range(9), 12]
 
 
 def one_bit_neighbours(key: int, m: int):
@@ -20,6 +25,15 @@ def one_bit_neighbours(key: int, m: int):
 
 def is_submask(v: int, u: int) -> bool:
     return v & ~u == 0
+
+
+def submasks_of(u: int) -> list[int]:
+    """Every submask of u, built bit by bit."""
+    out = [0]
+    for t in range(u.bit_length()):
+        if u >> t & 1:
+            out += [v | 1 << t for v in out]
+    return out
 
 
 def random_flags(m: int, seed: int, density: float, strided: bool) -> np.ndarray:
@@ -66,7 +80,7 @@ def test_or_has_submask(m, density, strided):
     out = bo.or_has_submask(flag, m)
     assert np.array_equal(flag, before)
     for u in range(1 << m):
-        want = any(flag[v] for v in range(u + 1) if is_submask(v, u))
+        want = any(flag[v] for v in submasks_of(u))
         assert out[u] == want, u
 
 
@@ -79,6 +93,15 @@ def test_down_closure(m, count):
     assert out.dtype == bool and out.shape == (1 << m,)
     for v in range(1 << m):
         assert out[v] == any(is_submask(v, k) for k in keys), v
+
+
+@pytest.mark.parametrize("m", [4, 12])
+def test_down_closure_takes_strided_keys(m):
+    keys = np.random.default_rng(350 + m).integers(0, 1 << m, size=8)[::2]
+    before = keys.copy()
+    out = bo.down_closure(keys, m)
+    assert np.array_equal(keys, before)
+    assert np.array_equal(out, bo.down_closure([int(k) for k in keys], m))
 
 
 @pytest.mark.parametrize("strided", [False, True])
@@ -112,3 +135,28 @@ def test_minimal_keys(m, density, strided):
 def test_fold_needs_one_value_per_slot():
     with pytest.raises(ValueError):
         bo.fold_or(3, [1, 2])
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_vee_block_matches_vee_key(m):
+    rng = random.Random(600 + m)
+    fs = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(9)] + [0, (1 << m) - 1]
+    gs = [rng.getrandbits(m) for _ in range(13)] + [0, 1 << (m - 1)]
+    img = bo.vee_images(gs, m)
+    assert img.shape == (m, len(gs)) and img.dtype == np.int64
+    for s in range(m):
+        assert img[s].tolist() == [bo.vee_key(1 << s, g) for g in gs], s
+    out = bo.vee_block(fs, img)
+    assert out.tolist() == [[bo.vee_key(f, g) for g in gs] for f in fs]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("n", [0, 1, 5, 30])
+def test_pair_blocks_walk_combinations_in_order(n, block, monkeypatch):
+    monkeypatch.setattr(bo, "PAIR_BLOCK", block)
+    walked = []
+    for i0, i1, upper in bo.pair_blocks(n):
+        assert upper.shape == (i1 - i0, n - i0)
+        rows, cols = np.nonzero(upper)
+        walked += [(i0 + r, i0 + c) for r, c in zip(rows.tolist(), cols.tolist())]
+    assert walked == list(itertools.combinations_with_replacement(range(n), 2))

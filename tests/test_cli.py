@@ -133,6 +133,30 @@ class TestBunch:
         ]
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["queries"]["bunch"][0]["sets"][0].update(progressions=[[0, 0]]),
+            lambda doc: doc["queries"]["bunch"][0]["sets"][1].update(kind="bogus"),
+            lambda doc: doc["budgets"].update(scale="x"),
+            lambda doc: doc["queries"]["bunch"][0]["sets"].append("x"),
+        ],
+        ids=["zero-step-progression", "unknown-kind", "non-integer-scale", "set-not-an-object"],
+    )
+    def test_malformed_document_exits_two_without_traceback(self, tmp_path, edit):
+        doc = json.loads(NAT_LINE.read_text())
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", "bunch", str(path), "--json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("schema error: ")
+
+
 class TestMap:
     def test_equivalence_verified(self, capsys):
         code, out = run_cli(["map", str(NAT_LINE)], capsys)

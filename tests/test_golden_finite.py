@@ -3,10 +3,12 @@
 Each record is the JSON of one finite-tier result on a fixed input grid:
 bounded sets, subspace restrictions, asymptotic dimension and induced
 nearness queries per backend, the H-nearness check per closure table,
-and the map and equivalence checks per map pair.  ``golden/finite.sha256``
-holds one sha256 per record, in ``sha256sum`` layout; a faster
-implementation must reproduce every record byte for byte.  A digest may
-change only together with a CHANGES.md line that says why.
+the map and equivalence checks per map pair, and seeded closures with
+their axiom reports (passing, not closed, and not downward closed).
+``golden/finite.sha256`` holds one sha256 per record, in ``sha256sum``
+layout; a faster implementation must reproduce every record byte for
+byte.  A digest may change only together with a CHANGES.md line that
+says why.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_finite.py``.
 """
@@ -32,7 +34,14 @@ from coarselab.dimension import asdim_explicit
 from coarselab.maps import ExplicitMap, is_ls_equivalence, is_lsr_map
 from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
 from coarselab.setcore import Family, Subset
-from coarselab.structures import ExplicitNearness, bounded_mask, is_h_nearness
+from coarselab.structures import (
+    ExplicitLSR,
+    ExplicitNearness,
+    bounded_mask,
+    check_lsr_axioms,
+    check_nearness_axioms,
+    is_h_nearness,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "finite.sha256"
 
@@ -129,12 +138,48 @@ def _map_records():
         yield f"equivalence {dl} <-> {cl} {t1} {t2}", is_ls_equivalence(f, g).to_json()
 
 
+def _report(report):
+    return [[r.axiom, r.passed, r.witness] for r in report.results]
+
+
+def _random_keys(m: int, rng: random.Random, count: int) -> list[int]:
+    return [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(count)]
+
+
+def _closure_records():
+    """Seeded closures (None over the cap) with both axiom reports, then
+    generator down-closures that miss the union axioms and key sets that
+    are not downward closed."""
+    for n, seeds in ((2, range(10)), (3, range(40)), (4, range(30))):
+        u = universe_of_size(n)
+        for seed in seeds:
+            label = f"closure{n}:{seed}"
+            rng = random.Random(1000 * n + seed)
+            lsr = random_lsr(u, rng, extra=1 + seed % 3, cap=(2000, 8192)[seed % 2])
+            yield f"{label} random_lsr", None if lsr is None else sorted(lsr.keys)
+            if lsr is not None:
+                yield f"{label} check_lsr_axioms", _report(check_lsr_axioms(lsr))
+                near = induced_nearness(ExplicitBackend(lsr))
+                yield f"{label} check_nearness_axioms", _report(check_nearness_axioms(near))
+    for n, seeds in ((2, range(6)), (3, range(12)), (4, range(12))):
+        u = universe_of_size(n)
+        m = 1 << n
+        for seed in seeds:
+            rng = random.Random(5000 * n + seed)
+            gens = [Family.from_mask_key(u, k) for k in _random_keys(m, rng, 1 + seed % 4)]
+            c = ExplicitLSR.from_generators(u, gens)
+            yield f"generated{n}:{seed} check_lsr_axioms", _report(check_lsr_axioms(c))
+            keys = _random_keys(m, rng, 3 + seed % 2 * 12)
+            c = ExplicitLSR(u, keys)
+            yield f"scattered{n}:{seed} check_lsr_axioms", _report(check_lsr_axioms(c))
+
+
 def finite_records():
     """(label, canonical JSON) for every record of the grid, in order."""
     for label, b in _backends():
         for name, value in _backend_records(label, b):
             yield name, json.dumps(value, sort_keys=True, separators=(",", ":"))
-    for name, value in itertools.chain(_nearness_records(), _map_records()):
+    for name, value in itertools.chain(_nearness_records(), _map_records(), _closure_records()):
         yield name, json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
