@@ -16,6 +16,7 @@ from math import lcm
 import numpy as np
 
 from coarselab import _bitops as bo
+from coarselab.backends import MetricLineBackend, NearnessQuery, nearness_of
 from coarselab.lineset import PeriodicSet
 from coarselab.setcore import Universe
 from coarselab.structures import ExplicitLSR
@@ -44,14 +45,48 @@ def brute_hausdorff(a: PeriodicSet, b: PeriodicSet) -> int:
     return max(sup_ab, sup_ba)
 
 
-def random_periodic(rng: random.Random, allow_finite: bool = False) -> PeriodicSet:
+def _draw_periodic(rng: random.Random, allow_finite: bool) -> tuple[tuple, tuple, tuple]:
+    """(finite part, progressions, removals) of a seeded periodic set; the
+    removals come from the set body up to 40."""
     n_aps = rng.randint(0 if allow_finite else 1, 2)
     aps = tuple((rng.randint(0, 25), rng.randint(1, 9)) for _ in range(n_aps))
     fin = tuple(rng.randint(0, 30) for _ in range(rng.randint(0, 3)))
-    body = PeriodicSet(fin, aps)
-    cand = body.window(40)
+    cand = sorted({*fin, *(n for s, p in aps for n in range(s, 41, p))})
     rem = tuple(rng.sample(cand, min(len(cand), rng.randint(0, 2))))
-    return PeriodicSet(fin, aps, rem)
+    return fin, aps, rem
+
+
+def random_periodic(rng: random.Random, allow_finite: bool = False) -> PeriodicSet:
+    return PeriodicSet(*_draw_periodic(rng, allow_finite))
+
+
+def line_product_pairs(rng: random.Random, count: int):
+    """``count`` pairs of families of one or two seeded nonempty periodic
+    sets, neither family near on its own.
+
+    Each pair is drawn as a family of ``random_periodic`` sets, then
+    another; draws with an empty set or a one-member family are skipped
+    before any set is built.  A nonempty one-member family is always
+    near, by the common-point clause, so the pairs kept are the same as
+    if every draw were built and queried.
+    """
+    backend = MetricLineBackend()
+
+    def near(sets):
+        return nearness_of(NearnessQuery(backend, sets)).is_yes
+
+    kept = 0
+    while kept < count:
+        drawn = [[_draw_periodic(rng, True) for _ in range(rng.randint(1, 2))] for _ in range(2)]
+        if any(len(fam) == 1 for fam in drawn):
+            continue
+        if any(not aps and set(fin) <= set(rem) for fam in drawn for fin, aps, rem in fam):
+            continue
+        a, b = ([PeriodicSet(*t) for t in fam] for fam in drawn)
+        if near(a) or near(b):
+            continue
+        kept += 1
+        yield a, b
 
 
 def _members(key: int) -> list[int]:

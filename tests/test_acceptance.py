@@ -11,6 +11,7 @@ product axiom only, and re-checks a hand-built product witness for each
 through the independent query path.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -49,7 +50,8 @@ from coarselab.structures import (
     is_ls_regular,
 )
 
-from oracles import brute_hausdorff, random_periodic
+from digests import GOLDEN_DIR, golden_digest
+from oracles import brute_hausdorff, line_product_pairs, random_periodic
 
 U3 = Universe.of("a", "b", "c")
 U4 = Universe.of("a", "b", "c", "d")
@@ -228,17 +230,12 @@ def test_criterion_4_metric_line_product_on_500_pairs():
     def near(sets):
         return nearness_of(NearnessQuery(mb, sets)).is_yes
 
-    checked = 0
-    while checked < 500:
-        a = [random_periodic(rng, allow_finite=True) for _ in range(rng.randint(1, 2))]
-        b = [random_periodic(rng, allow_finite=True) for _ in range(rng.randint(1, 2))]
-        if any(s.is_empty() for s in a + b):
-            continue
-        if near(a) or near(b):
-            continue
+    pairs = list(line_product_pairs(rng, 500))
+    for a, b in pairs:
         product = [ls.union(x, y) for x in a for y in b]
         assert not near(product), (a, b)
-        checked += 1
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == golden_digest(GOLDEN_DIR / "line.sha256", "criterion 4b pairs")
     verdict_line("4b", True, "product axiom holds on 500 seeded line query pairs")
 
 
