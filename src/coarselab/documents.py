@@ -147,7 +147,11 @@ def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
         gens = [_family(universe, fam) for fam in desc.get("generators", [])]
         return ExplicitBackend(ExplicitLSR.from_generators(universe, gens))
     if kind == "partition":
-        return PartitionCoarseBackend.from_labels(doc.universe(), desc["blocks"])
+        universe = doc.universe()
+        try:
+            return PartitionCoarseBackend.from_labels(universe, desc["blocks"])
+        except ValueError as e:  # blocks that miss or repeat an element
+            raise SchemaError(f"partition: {e}") from None
     if kind == "from-asr":
         return FromASRBackend(build_asr(doc, desc))
     if kind == "metric-line":

@@ -9,6 +9,13 @@ Three representation tiers:
 * ``GeometricSet`` and ``BlocksSet`` are enumerator-backed infinite sets
   whose questions are answered at a scale budget, never beyond it.
 
+Every class implements ``window_array(hi)``, the sorted ``int64`` array
+of its elements up to ``hi``; it is the one enumerator, and every other
+question (least element, point distance, gaps, Hausdorff distance) is
+answered from windows.  ``window(hi)`` is its list form.  ``contains``
+is the reference: an independent membership rule per class that the
+tests check windows against.
+
 The exact Hausdorff distance between two infinite periodic sets uses a
 stabilization window: past ``N0`` (the largest irregular coordinate of
 either set) both membership patterns repeat with period ``L`` (the lcm
@@ -20,11 +27,9 @@ brute-force window oracle.
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator
 
 import numpy as np
 
@@ -46,10 +51,6 @@ class ExtendedDistance:
         if k < 0:
             raise ValueError("distance must be nonnegative")
         return cls(int(k))
-
-    @classmethod
-    def infinite(cls) -> "ExtendedDistance":
-        return cls(None)
 
     @property
     def is_infinite(self) -> bool:
@@ -74,8 +75,8 @@ class LineSet:
     def contains(self, n: int) -> bool:
         raise NotImplementedError
 
-    def iter_up_to(self, hi: int) -> Iterator[int]:
-        """Strictly increasing enumeration of all elements <= hi."""
+    def window_array(self, hi: int) -> np.ndarray:
+        """The elements up to ``hi``, ascending, as an ``int64`` array."""
         raise NotImplementedError
 
     def is_finite(self) -> bool:
@@ -91,10 +92,7 @@ class LineSet:
     def window(self, hi: int) -> list[int]:
         if hi < 0:
             raise ValueError("window bound must be nonnegative")
-        return list(self.iter_up_to(hi))
-
-    def window_array(self, hi: int) -> np.ndarray:
-        return np.asarray(self.window(hi), dtype=np.int64)
+        return self.window_array(hi).tolist()
 
     def min_element(self) -> int:
         """Least element; raises on an empty set."""
@@ -102,15 +100,16 @@ class LineSet:
             raise LineSetError("empty set has no least element")
         hi = 64
         while True:
-            for n in self.iter_up_to(hi):
-                return n
+            win = self.window_array(hi)
+            if win.size:
+                return int(win[0])
             hi *= 4
 
     def to_json(self) -> dict:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        head = ", ".join(str(n) for n in itertools.islice(self.iter_up_to(10**6), 8))
+        head = ", ".join(str(n) for n in self.window_array(10**6)[:8].tolist())
         tail = "" if self.is_finite() else ", ..."
         return f"{type(self).__name__}[{head}{tail}]"
 
@@ -129,11 +128,8 @@ class FiniteSet(LineSet):
         i = bisect_left(self.elements, n)
         return i < len(self.elements) and self.elements[i] == n
 
-    def iter_up_to(self, hi: int) -> Iterator[int]:
-        for n in self.elements:
-            if n > hi:
-                return
-            yield n
+    def window_array(self, hi: int) -> np.ndarray:
+        return np.asarray(self.elements[: bisect_right(self.elements, hi)], dtype=np.int64)
 
     def is_finite(self) -> bool:
         return True
@@ -179,13 +175,6 @@ class PeriodicSet(LineSet):
             return False
         return self._core_contains(n)
 
-    def iter_up_to(self, hi: int) -> Iterator[int]:
-        merged: set[int] = {n for n in self.finite_part if n <= hi}
-        for s, p in self.progressions:
-            merged.update(range(s, hi + 1, p))
-        merged.difference_update(self.removals)
-        yield from sorted(merged)
-
     def window_array(self, hi: int) -> np.ndarray:
         parts = [np.asarray([n for n in self.finite_part if n <= hi], dtype=np.int64)]
         parts += [np.arange(s, hi + 1, p, dtype=np.int64) for s, p in self.progressions]
@@ -219,8 +208,7 @@ class PeriodicSet(LineSet):
         if self.is_finite():
             raise LineSetError("max gap of a finite set is not defined here")
         n0, per = self.stabilization_base(), self.period()
-        elems = self.window(n0 + 2 * per + 1)
-        return max(b - a for a, b in zip(elems, elems[1:]))
+        return int(np.diff(self.window_array(n0 + 2 * per + 1)).max())
 
     def to_json(self) -> dict:
         return {
@@ -253,11 +241,13 @@ class GeometricSet(LineSet):
             k += 1
         return q == 1 and k >= self.k0
 
-    def iter_up_to(self, hi: int) -> Iterator[int]:
+    def window_array(self, hi: int) -> np.ndarray:
+        vals = []
         val = self.m * self.b**self.k0
         while val <= hi:
-            yield val
+            vals.append(val)
             val *= self.b
+        return np.asarray(vals, dtype=np.int64)
 
     def is_finite(self) -> bool:
         return False
@@ -340,56 +330,30 @@ class BlocksSet(LineSet):
             return False
         if self.rule == "sparsify-half":
             (side,) = self.ints
-            base = self.sets[0]
-            idx = 0
-            for x in base.iter_up_to(n):
-                idx += 1
-                if x == n:
-                    return _sparsify_side(idx) == side
-            return False
+            base = self.sets[0].window_array(n)
+            # n, if in the base, ends this window: its 1-based index is the size
+            return base.size > 0 and int(base[-1]) == n and _sparsify_side(base.size) == side
         if self.rule == "nearer-side":
             (side,) = self.ints
             a, b = self.sets
             da, db = point_distance(a, n), point_distance(b, n)
             return da >= db if side == 0 else db >= da
         if self.rule == "geometric-offset":
-            for v in self.iter_up_to(n):
-                if v == n:
-                    return True
-            return False
-        raise AssertionError
-
-    def iter_up_to(self, hi: int) -> Iterator[int]:
-        if self.rule == "doubling-blocks":
-            (width,) = self.ints
-            last = -1
-            p = 1
-            while p <= hi:
-                for n in range(max(p, last + 1), min(p + width, hi + 1)):
-                    yield n
-                    last = n
-                p *= 2
-            return
-        if self.rule == "sparsify-half":
-            (side,) = self.ints
-            base = self.sets[0]
-            for idx, x in enumerate(base.iter_up_to(hi), start=1):
-                if _sparsify_side(idx) == side:
-                    yield x
-            return
-        if self.rule == "nearer-side":
-            yield from (int(n) for n in self.window_array(hi))
-            return
-        if self.rule == "geometric-offset":
             m, b, k0, c = self.ints
             k = k0
-            while m * b**k + c**k <= hi:
-                yield m * b**k + c**k
+            while m * b**k + c**k < n:
                 k += 1
-            return
+            return m * b**k + c**k == n
         raise AssertionError
 
     def window_array(self, hi: int) -> np.ndarray:
+        if self.rule == "doubling-blocks":
+            (width,) = self.ints
+            runs, end, p = [], 0, 1
+            while p <= hi:  # while width > p, a run overlaps the one before it
+                runs.append(np.arange(max(p, end), min(p + width, hi + 1), dtype=np.int64))
+                end, p = p + width, 2 * p
+            return np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
         if self.rule == "sparsify-half":
             return _sparsify_take(self.sets[0].window_array(hi), self.ints[0])
         if self.rule == "nearer-side":
@@ -397,7 +361,15 @@ class BlocksSet(LineSet):
             a, b = self.sets
             pts, da, db = _nearer_side_distances(_padded_window(a, hi), _padded_window(b, hi), hi)
             return pts[da >= db] if side == 0 else pts[db >= da]
-        return super().window_array(hi)
+        if self.rule == "geometric-offset":
+            m, b, k0, c = self.ints
+            vals = []
+            k = k0
+            while m * b**k + c**k <= hi:
+                vals.append(m * b**k + c**k)
+                k += 1
+            return np.asarray(vals, dtype=np.int64)
+        raise AssertionError
 
     def is_finite(self) -> bool:
         return False
@@ -509,42 +481,22 @@ def _cushion(s: LineSet, around: int) -> int:
 
 
 def point_distance(s: LineSet, n: int) -> int:
-    """Exact distance from point ``n`` to the nonempty set ``s``."""
-    if isinstance(s, FiniteSet):
-        if not s.elements:
-            raise LineSetError("distance to the empty set is undefined")
-        return _nearest_in_sorted(s.elements, n)
-    if isinstance(s, GeometricSet):
-        below = None
-        val = s.m * s.b**s.k0
-        while val <= n:
-            below = val
-            val *= s.b
-        cands = [val] if below is None else [below, val]
-        return min(abs(n - v) for v in cands)
+    """Exact distance from point ``n`` to the nonempty set ``s``.
+
+    The window grows until it reaches ``n``.  A finite set's window may
+    end below ``n``: its cushion is at least ``n``, so any element past
+    the window lies farther from ``n`` than the window's last one.
+    """
     if s.is_empty():
         raise LineSetError("distance to the empty set is undefined")
     hi = n + _cushion(s, n)
     while True:
-        win = s.window(hi)
-        if win and win[-1] >= n:
-            return _nearest_in_sorted(win, n)
-        if win and s.is_finite():
-            return _nearest_in_sorted(win, n)
+        win = s.window_array(hi)
+        if win.size and (win[-1] >= n or s.is_finite()):
+            return int(_distances_to(np.asarray([n], dtype=np.int64), win)[0])
         if hi > (1 << 42):
             raise LineSetError(f"enumerator produced no element near {n}")
         hi = 4 * hi + 64
-
-
-def _nearest_in_sorted(elems, n: int) -> int:
-    i = bisect_left(elems, n)
-    best = None
-    if i < len(elems):
-        best = elems[i] - n
-    if i > 0:
-        d = n - elems[i - 1]
-        best = d if best is None else min(best, d)
-    return int(best)
 
 
 def _distances_to(points: np.ndarray, sorted_elems: np.ndarray) -> np.ndarray:
@@ -560,9 +512,9 @@ def _distances_to(points: np.ndarray, sorted_elems: np.ndarray) -> np.ndarray:
 
 
 def _padded_window(s: LineSet, hi: int) -> np.ndarray:
-    """The window of ``s`` over ``[0, hi]`` plus its cushion: enough to measure
-    distances from the points of ``[0, hi]``."""
-    return s.window_array(hi + _cushion(s, hi))
+    """The window of ``s`` over ``[0, hi]`` plus its cushion, or all of a finite
+    ``s``: enough to measure distances from the points of ``[0, hi]``."""
+    return s.window_array(1 << 62 if s.is_finite() else hi + _cushion(s, hi))
 
 
 def _nearer_side_distances(
@@ -585,26 +537,30 @@ def hausdorff_distance(a: LineSet, b: LineSet) -> ExtendedDistance:
         raise LineSetError("exact distance needs Finite/Periodic sets; use hausdorff_at_scale")
     if a.is_empty() or b.is_empty():
         raise LineSetError("Hausdorff distance to the empty set is undefined")
-    fa, fb = a.is_finite(), b.is_finite()
-    if fa != fb:
+    if a.is_finite() != b.is_finite():
         return INF
-    if fa and fb:
-        ea = a.window_array(1 << 62)
-        eb = b.window_array(1 << 62)
-        sup_ab = int(_distances_to(ea, eb).max())
-        sup_ba = int(_distances_to(eb, ea).max())
-        return ExtendedDistance.finite(max(sup_ab, sup_ba))
-    n0 = max(a.stabilization_base(), b.stabilization_base())
-    per = lcm(a.period(), b.period())
-    top = n0 + 3 * per
-    pad = n0 + 2 * per + 1
-    awin = a.window_array(top)
-    bwin = b.window_array(top)
-    a_ext = a.window_array(top + pad)
-    b_ext = b.window_array(top + pad)
-    sup_ab = int(_distances_to(awin, b_ext).max())
-    sup_ba = int(_distances_to(bwin, a_ext).max())
-    return ExtendedDistance.finite(max(sup_ab, sup_ba))
+    return ExtendedDistance.finite(max(int(d.max()) for _, d in _directed_distances(a, b)))
+
+
+def _directed_distances(a: LineSet, b: LineSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For nonempty exact-tier sets, both finite or both infinite: the points
+    of ``a`` up to the top with their distances to ``b``, and the mirror.
+
+    Finite sets are taken whole.  Infinite sets are scanned up to the
+    stabilization top ``N0 + 3L``, cut from one window per set that is
+    padded by ``N0 + 2L + 1`` to hold every scanned point's neighbours.
+    """
+    if a.is_finite():
+        top = ext = 1 << 62
+    else:
+        n0 = max(a.stabilization_base(), b.stabilization_base())
+        per = lcm(a.period(), b.period())
+        top = n0 + 3 * per
+        ext = top + n0 + 2 * per + 1
+    wa, wb = a.window_array(ext), b.window_array(ext)
+    pa = wa[: np.searchsorted(wa, top, "right")]
+    pb = wb[: np.searchsorted(wb, top, "right")]
+    return [(pa, _distances_to(pa, wb)), (pb, _distances_to(pb, wa))]
 
 
 def hausdorff_at_scale(a: LineSet, b: LineSet, k: int, hi: int) -> TriVerdict:
@@ -622,9 +578,9 @@ def hausdorff_at_scale(a: LineSet, b: LineSet, k: int, hi: int) -> TriVerdict:
             return TriVerdict.yes(distance=d.value)
         point, side = _far_point(a, b, k)
         return TriVerdict.no(point=point, side=side, scale=k)
-    for side, (s, t) in enumerate(((a, b), (b, a))):
-        swin = s.window_array(hi)
-        twin = t.window_array(hi)
+    wins = (a.window_array(hi), b.window_array(hi))
+    for side in (0, 1):
+        swin, twin = wins[side], wins[1 - side]
         if twin.size == 0:
             if swin.size:
                 return TriVerdict.no(point=int(swin[0]), side=side, scale=k)
@@ -641,26 +597,21 @@ def hausdorff_at_scale(a: LineSet, b: LineSet, k: int, hi: int) -> TriVerdict:
 
 def _far_point(a: LineSet, b: LineSet, k: int) -> tuple[int, int]:
     """A concrete witness point at distance > k, for an exact-tier pair known > k."""
-    fa, fb = a.is_finite(), b.is_finite()
-    if fa != fb:
+    fa = a.is_finite()
+    if fa != b.is_finite():
         inf_side, fin_side = (b, a) if fa else (a, b)
-        top = max(fin_side.window(1 << 62), default=0) + k + 1
+        top = int(fin_side.window_array(1 << 62)[-1]) + k + 1
         hi = max(2 * top, 64)
         while True:
-            for n in inf_side.iter_up_to(hi):
-                if n >= top:
-                    return n, 1 if fa else 0
+            win = inf_side.window_array(hi)
+            far = win[win >= top]
+            if far.size:
+                return int(far[0]), 1 if fa else 0
             hi *= 4
-    n0 = max(x.stabilization_base() if isinstance(x, PeriodicSet) else 0 for x in (a, b))
-    per = lcm(
-        a.period() if isinstance(a, PeriodicSet) else 1,
-        b.period() if isinstance(b, PeriodicSet) else 1,
-    )
-    top = n0 + 3 * per if not (fa and fb) else 1 << 62
-    for side, (s, t) in enumerate(((a, b), (b, a))):
-        for n in s.iter_up_to(top):
-            if point_distance(t, n) > k:
-                return n, side
+    for side, (points, dists) in enumerate(_directed_distances(a, b)):
+        far = np.flatnonzero(dists > k)
+        if far.size:
+            return int(points[far[0]]), side
     raise AssertionError("no witness found although distance exceeds the scale")
 
 
@@ -677,19 +628,17 @@ def verify_gap_certificate(s: LineSet, g: int, hi: int) -> TriVerdict:
     """
     if s.is_finite():
         raise LineSetError("gap certificates concern infinite sets")
-    if isinstance(s, PeriodicSet):
-        mg = s.max_gap()
-        if mg <= g:
-            return TriVerdict.no(max_gap=mg, threshold=g)
-        n0, per = s.stabilization_base(), s.period()
-        elems = s.window(n0 + 2 * per + 1)
-        for x, y in zip(elems, elems[1:]):
-            if y - x > g:
-                return TriVerdict.yes(pair=(x, y), gap=y - x)
-    elems = s.window(hi)
-    for x, y in zip(elems, elems[1:]):
-        if y - x > g:
-            return TriVerdict.yes(pair=(x, y), gap=y - x)
+    exact = isinstance(s, PeriodicSet)
+    if exact:  # the window of max_gap holds every gap of the set
+        hi = s.stabilization_base() + 2 * s.period() + 1
+    elems = s.window_array(hi)
+    gaps = np.diff(elems)
+    wide = np.flatnonzero(gaps > g)
+    if wide.size:
+        i = wide[0]
+        return TriVerdict.yes(pair=(int(elems[i]), int(elems[i + 1])), gap=int(gaps[i]))
+    if exact:
+        return TriVerdict.no(max_gap=int(gaps.max()), threshold=g)
     return TriVerdict.unknown(budget=hi, threshold=g)
 
 
@@ -832,13 +781,11 @@ def is_subset(a: LineSet, b: LineSet) -> bool:
     pa, pb = _as_periodic(a), _as_periodic(b)
     n0 = max(pa.stabilization_base(), pb.stabilization_base())
     per = lcm(pa.period(), pb.period())
-    return all(pb.contains(n) for n in pa.iter_up_to(n0 + 2 * per))
+    return all(pb.contains(n) for n in pa.window(n0 + 2 * per))
 
 
 def diameter(s: LineSet) -> ExtendedDistance:
     if not s.is_finite():
         return INF
-    elems = s.window(1 << 62)
-    if not elems:
-        return ExtendedDistance.finite(0)
-    return ExtendedDistance.finite(elems[-1] - elems[0])
+    elems = s.window_array(1 << 62)
+    return ExtendedDistance.finite(int(elems[-1] - elems[0]) if elems.size else 0)

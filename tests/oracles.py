@@ -48,12 +48,12 @@ def brute_hausdorff(a: PeriodicSet, b: PeriodicSet) -> int:
 def _draw_periodic(rng: random.Random, allow_finite: bool) -> tuple[tuple, tuple, tuple]:
     """(finite part, progressions, removals) of a seeded periodic set; the
     removals come from the set body up to 40."""
-    n_aps = rng.randint(0 if allow_finite else 1, 2)
-    aps = tuple((rng.randint(0, 25), rng.randint(1, 9)) for _ in range(n_aps))
-    fin = tuple(rng.randint(0, 30) for _ in range(rng.randint(0, 3)))
-    cand = sorted({*fin, *(n for s, p in aps for n in range(s, 41, p))})
-    rem = tuple(rng.sample(cand, min(len(cand), rng.randint(0, 2))))
-    return fin, aps, rem
+    randint = rng.randint
+    aps = [(randint(0, 25), randint(1, 9)) for _ in range(randint(0 if allow_finite else 1, 2))]
+    fin = [randint(0, 30) for _ in range(randint(0, 3))]
+    k = randint(0, 2)
+    cand = sorted(set(fin).union(*(range(s, 41, p) for s, p in aps))) if k else []
+    return tuple(fin), tuple(aps), tuple(rng.sample(cand, min(len(cand), k)))
 
 
 def random_periodic(rng: random.Random, allow_finite: bool = False) -> PeriodicSet:

@@ -157,6 +157,25 @@ class TestBunch:
         assert proc.stderr.startswith("schema error: ")
 
 
+class TestPartitionDocuments:
+    @pytest.mark.parametrize("blocks", [[["a"]], [["a", "b"], ["b", "c"]]], ids=["misses", "repeats"])
+    def test_blocks_not_partitioning_exit_two_without_traceback(self, tmp_path, blocks):
+        doc = {
+            "version": 1,
+            "space": {"kind": "finite", "elements": ["a", "b", "c"]},
+            "structures": [{"name": "p", "type": "partition", "blocks": blocks}],
+        }
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", "check", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "schema error: partition: blocks must partition the universe\n"
+
+
 class TestMap:
     def test_equivalence_verified(self, capsys):
         code, out = run_cli(["map", str(NAT_LINE)], capsys)

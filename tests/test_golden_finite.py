@@ -15,11 +15,8 @@ Regenerate with ``PYTHONPATH=src python tests/test_golden_finite.py``.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import random
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +40,9 @@ from coarselab.structures import (
     is_h_nearness,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "finite.sha256"
+from digests import GOLDEN_DIR, assert_golden, canonical, write_golden
+
+GOLDEN = GOLDEN_DIR / "finite.sha256"
 
 
 def _backends():
@@ -178,24 +177,14 @@ def finite_records():
     """(label, canonical JSON) for every record of the grid, in order."""
     for label, b in _backends():
         for name, value in _backend_records(label, b):
-            yield name, json.dumps(value, sort_keys=True, separators=(",", ":"))
+            yield name, canonical(value)
     for name, value in itertools.chain(_nearness_records(), _map_records(), _closure_records()):
-        yield name, json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _digest_lines():
-    for label, text in finite_records():
-        yield f"{hashlib.sha256(text.encode()).hexdigest()}  {label}", text
+        yield name, canonical(value)
 
 
 def test_finite_golden_digest():
-    expected = GOLDEN.read_text().splitlines()
-    got = list(_digest_lines())
-    for i, (want, (line, text)) in enumerate(zip(expected, got)):
-        assert line == want, f"record {i} differs: {line!r}, golden {want!r}; now {text[:400]}"
-    assert len(got) == len(expected), f"{len(got)} records, golden has {len(expected)}"
+    assert_golden(GOLDEN, finite_records())
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("".join(line + "\n" for line, _ in _digest_lines()))
+    write_golden(GOLDEN, finite_records())

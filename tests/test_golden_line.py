@@ -33,7 +33,7 @@ WINDOW_TOPS = (0, 1, 7, 40, 333, 4096)
 POINTS = (0, 1, 6, 7, 39, 40, 41, 332, 1000, 4097)
 GAP_QUERIES = ((0, 40), (1, 40), (2, 333), (5, 4096), (40, 4096), (300, 333))
 # the sets paired with one another at windows, every pair with a windowed set
-MIXED = (
+PAIRED = (
     "finite-one", "periodic-finite", "odds", "mixed", "geometric-2", "geometric-5x7",
     "doubling-8", "sparsify-mixed-0", "sparsify-doubling-1", "nearer-ap-0",
     "nearer-geometric-1", "offset-2301",
@@ -59,6 +59,7 @@ def _exact_sets() -> dict[str, LineSet]:
 
 def _windowed_sets() -> dict[str, LineSet]:
     halves = ls.sparsify_split(ls.naturals())
+    mixed = _exact_sets()["mixed"]
     return {
         "geometric-2": GeometricSet(1, 2, 0),
         "geometric-3x4": GeometricSet(3, 2, 2),
@@ -69,8 +70,8 @@ def _windowed_sets() -> dict[str, LineSet]:
         "doubling-8": BlocksSet("doubling-blocks", (8,)),
         "sparsify-naturals-0": halves[0],
         "sparsify-naturals-1": halves[1],
-        "sparsify-mixed-0": BlocksSet("sparsify-half", (0,), (_exact_sets()["mixed"],)),
-        "sparsify-mixed-1": BlocksSet("sparsify-half", (1,), (_exact_sets()["mixed"],)),
+        "sparsify-mixed-0": BlocksSet("sparsify-half", (0,), (mixed,)),
+        "sparsify-mixed-1": BlocksSet("sparsify-half", (1,), (mixed,)),
         "sparsify-geometric-0": BlocksSet("sparsify-half", (0,), (GeometricSet(1, 2, 0),)),
         "sparsify-doubling-1": BlocksSet("sparsify-half", (1,), (BlocksSet("doubling-blocks", (3,)),)),
         "nearer-halves-0": BlocksSet("nearer-side", (0,), halves),
@@ -157,8 +158,8 @@ def line_records():
     for (la, a), (lb, b) in itertools.product(exact.items(), repeat=2):
         for name, value in _exact_pair_records(la, a, lb, b):
             yield name, canonical(value)
-    mixed = [(label, every[label]) for label in MIXED]
-    for (la, a), (lb, b) in itertools.product(mixed, repeat=2):
+    paired = [(label, every[label]) for label in PAIRED]
+    for (la, a), (lb, b) in itertools.product(paired, repeat=2):
         if not (a.is_exact() and b.is_exact()):
             for name, value in _windowed_pair_records(la, a, lb, b):
                 yield name, canonical(value)

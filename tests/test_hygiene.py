@@ -1,16 +1,19 @@
-"""Lint gate: no module of the package or of its tests imports a name
-it never uses.
+"""Lint gates: no module of the package or of its tests imports a name
+it never uses, and every function the benchmark's tracer wraps exists.
 
 An AST scan stands in for a linter.  The package's ``__init__.py`` is
 left out, because it imports names in order to re-export them.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "coarselab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "coarselab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -60,3 +63,27 @@ def test_scan_sees_an_unused_import():
     tree = ast.parse("from typing import Any, Sequence\nimport numpy as np\nx: 'Sequence[int]' = np.zeros(1)\n")
     names = imported_names(tree)
     assert sorted(n for n in names if n not in used_names(tree)) == ["Any"]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_exist():
+    """Each ``SPANNED`` and ``COUNTED`` entry of ``perfbench/tracer.py``
+    names a module-level function of ``coarselab``, or a method defined
+    on the class itself, which is where the tracer looks it up."""
+    tracer = _tracer()
+    missing = []
+    for module, path in tracer.SPANNED + tracer.COUNTED:
+        owner = importlib.import_module(f"coarselab.{module}")
+        *classes, attr = path.split(".")
+        for name in classes:
+            owner = getattr(owner, name, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{path}")
+    assert len(tracer.SPANNED) > 10
+    assert not missing, f"perfbench/tracer.py traces names coarselab lacks: {', '.join(missing)}"

@@ -249,48 +249,71 @@ def periodic_sets(draw, infinite: bool = False) -> PeriodicSet:
     return PeriodicSet(fin, progs, rem)
 
 
-def assert_window(s, hi: int, expected: list[int]) -> None:
+@st.composite
+def enumerated_sets(draw):
+    """Finite sets, geometric sets, and the doubling-blocks and
+    geometric-offset rules, with small parameters."""
+    kind = draw(st.sampled_from(["finite", "geometric", "doubling-blocks", "geometric-offset"]))
+    if kind == "finite":
+        return FiniteSet(tuple(draw(st.lists(st.integers(0, 700), max_size=12))))
+    if kind == "geometric":
+        return GeometricSet(draw(st.integers(1, 9)), draw(st.integers(2, 5)), draw(st.integers(0, 3)))
+    if kind == "doubling-blocks":
+        return BlocksSet(kind, (draw(st.integers(1, 40)),))
+    ints = (draw(st.integers(1, 9)), draw(st.integers(2, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 4)))
+    return BlocksSet(kind, ints if ints != (1, 2, 0, 0) else (1, 2, 0, 1))
+
+
+def assert_window(s, hi: int) -> None:
+    """``s.window_array(hi)`` is ``int64`` and lists the members that
+    ``contains`` accepts in ``[0, hi]``; ``s.window(hi)`` is its list form."""
     arr = s.window_array(hi)
     assert arr.dtype == np.int64
+    expected = [n for n in range(hi + 1) if s.contains(n)]
     assert arr.tolist() == expected
+    assert s.window(hi) == expected
 
 
 class TestWindowArray:
-    """``window_array`` against the enumerators and the membership rules."""
+    """``window_array`` of every class against its membership rule."""
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None)
     @given(periodic_sets(), st.integers(0, 320))
     def test_periodic_matches_window(self, s, hi):
-        assert_window(s, hi, s.window(hi))
-        assert s.window(hi) == [n for n in range(hi + 1) if s.contains(n)]
+        assert_window(s, hi)
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(enumerated_sets(), st.integers(0, 700))
+    def test_enumerated_sets_match_contains(self, s, hi):
+        assert_window(s, hi)
 
     @seed(20261018)
     @settings(max_examples=100, deadline=None)
     @given(periodic_sets(infinite=True), st.integers(0, 320))
-    def test_sparsify_halves_match_iter_up_to(self, base, hi):
+    def test_sparsify_halves_match_contains(self, base, hi):
         for half in sparsify_split(base):
-            assert_window(half, hi, list(half.iter_up_to(hi)))
+            assert_window(half, hi)
 
     @seed(20261018)
     @settings(max_examples=100, deadline=None)
     @given(periodic_sets(infinite=True), periodic_sets(), st.integers(0, 200))
-    def test_nearer_side_matches_iter_up_to_and_contains(self, a, b, hi):
+    def test_nearer_side_matches_contains(self, a, b, hi):
         if b.is_empty():
             b = a
         for side in (0, 1):
-            x = BlocksSet("nearer-side", (side,), (a, b))
-            expected = [n for n in range(hi + 1) if x.contains(n)]
-            assert_window(x, hi, expected)
-            assert list(x.iter_up_to(hi)) == expected
+            assert_window(BlocksSet("nearer-side", (side,), (a, b)), hi)
+
+    def test_nearer_side_of_a_finite_set_beyond_the_cushion(self):
+        for side in (0, 1):
+            assert_window(BlocksSet("nearer-side", (side,), (naturals(), PeriodicSet((65,)))), 0)
 
     def test_nearer_side_of_sparsified_halves(self):
         left, right = sparsify_split(evens())
         x1, x2, _ = normality_split(left, right, 400)
         for x in (x1, x2):
-            expected = [n for n in range(401) if x.contains(n)]
-            assert_window(x, 400, expected)
-            assert list(x.iter_up_to(400)) == expected
+            assert_window(x, 400)
 
 
 class TestAlgebra:
