@@ -12,6 +12,7 @@ was exceeded; 4 verdicts dominated by Unknown (budget exhausted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .documents import (
 )
 from .maps import is_lsr_map, is_ls_equivalence
 from .mining import mine_nearness_product_failures, mine_non_ls_regular
-from .nearness_lab import ObstructionRejected, bunch_obstruction
+from .nearness_lab import ObstructionBudgetExhausted, ObstructionRejected, bunch_obstruction
 from .setcore import CapExceeded
 from .structures import (
     check_asr_axioms,
@@ -248,6 +249,11 @@ def cmd_bunch(args) -> int:
             cert = bunch_obstruction(
                 sets, scale_budget=doc.scale_budget, window=doc.window
             )
+        except ObstructionBudgetExhausted as e:
+            report.add(f"  query {i}: unknown: {e}")
+            report.payload.append({"query": i, "unknown": str(e)})
+            report.unknown = True
+            continue
         except ObstructionRejected as e:
             report.add(f"  query {i}: rejected: {e}")
             report.payload.append({"query": i, "rejected": str(e)})
@@ -299,7 +305,9 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="coarselab",
         description="verified computations on large-scale set-family structures",
@@ -329,8 +337,11 @@ def main(argv=None) -> int:
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--json", action="store_true")
     pm.set_defaults(fn=cmd_mine)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as e:

@@ -178,13 +178,17 @@ class PeriodicSet(LineSet):
     def window_array(self, hi: int) -> np.ndarray:
         parts = [np.asarray([n for n in self.finite_part if n <= hi], dtype=np.int64)]
         parts += [np.arange(s, hi + 1, p, dtype=np.int64) for s, p in self.progressions]
-        # Sort and mask, with no hashing (numpy 2.x's unique hashes).  Every
-        # removal lies in the set body: searchsorted finds the kept copy.
-        merged = np.sort(np.concatenate(parts))
-        keep = np.ones(merged.size, dtype=bool)
-        keep[1:] = merged[1:] != merged[:-1]
-        keep[np.searchsorted(merged, [r for r in self.removals if r <= hi])] = False
-        return merged[keep]
+        parts = [part for part in parts if part.size] or [np.zeros(0, dtype=np.int64)]
+        merged = parts[0]  # a single part is sorted and free of repeats already
+        if len(parts) > 1:
+            # Sort and mask, with no hashing (numpy 2.x's unique hashes).
+            merged = np.sort(np.concatenate(parts))
+            keep = np.ones(merged.size, dtype=bool)
+            keep[1:] = merged[1:] != merged[:-1]
+            merged = merged[keep]
+        # Every removal lies in the set body: searchsorted finds it.
+        removed = [r for r in self.removals if r <= hi]
+        return np.delete(merged, np.searchsorted(merged, removed)) if removed else merged
 
     def is_finite(self) -> bool:
         # removals are finite, so any progression survives them
@@ -359,8 +363,9 @@ class BlocksSet(LineSet):
         if self.rule == "nearer-side":
             (side,) = self.ints
             a, b = self.sets
-            pts, da, db = _nearer_side_distances(_padded_window(a, hi), _padded_window(b, hi), hi)
-            return pts[da >= db] if side == 0 else pts[db >= da]
+            da = _distance_field(_padded_window(a, hi), hi)
+            db = _distance_field(_padded_window(b, hi), hi)
+            return np.flatnonzero(da >= db if side == 0 else db >= da)
         if self.rule == "geometric-offset":
             m, b, k0, c = self.ints
             vals = []
@@ -517,13 +522,46 @@ def _padded_window(s: LineSet, hi: int) -> np.ndarray:
     return s.window_array(1 << 62 if s.is_finite() else hi + _cushion(s, hi))
 
 
-def _nearer_side_distances(
-    awin: np.ndarray, bwin: np.ndarray, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of ``[0, hi]`` with their distances to ``a`` and to ``b``,
-    given ``awin = _padded_window(a, hi)`` and ``bwin = _padded_window(b, hi)``."""
+_FAR = 1 << 62  # beyond every window: a missing neighbour
+
+
+def _distance_field(elems: np.ndarray, hi: int) -> np.ndarray:
+    """``_distances_to(np.arange(hi + 1), elems)`` in linear time, for a
+    nonempty sorted ``elems``.
+
+    The points are the consecutive integers of ``[0, hi]``, so the left
+    neighbour of each is a running max of the elements at or below it,
+    and its right neighbour a running min, taken from the right, of the
+    elements at or above it; the first element past ``hi`` seeds the
+    right end.  A point with no neighbour on one side reads ``_FAR``
+    there.  Nothing beyond ``[0, hi]`` is built.
+    """
+    if elems.size == 0:
+        raise LineSetError("distance to the empty set is undefined")
+    cut = int(np.searchsorted(elems, hi, "right"))
+    inside = elems[:cut]
+    left = np.full(hi + 1, -_FAR, dtype=np.int64)
+    left[inside] = inside
+    np.maximum.accumulate(left, out=left)
+    right = np.full(hi + 1, _FAR, dtype=np.int64)
+    right[inside] = inside
+    if cut < elems.size:
+        right[hi] = min(right[hi], elems[cut])
+    rev = right[::-1]
+    np.minimum.accumulate(rev, out=rev)
     pts = np.arange(hi + 1, dtype=np.int64)
-    return pts, _distances_to(pts, awin), _distances_to(pts, bwin)
+    np.subtract(pts, left, out=left)
+    np.subtract(right, pts, out=right)
+    return np.minimum(left, right, out=left)
+
+
+def _last_within(dists: np.ndarray, scales) -> np.ndarray:
+    """For each scale ``k``, the last index ``i`` with ``dists[i] <= k``, or -1.
+
+    The running min of ``dists`` taken from the right is nondecreasing,
+    and its entries at most ``k`` are exactly those up to that index."""
+    tail_min = np.minimum.accumulate(dists[::-1])[::-1]
+    return np.searchsorted(tail_min, scales, "right") - 1
 
 
 # ---------------------------------------------------------------------------
@@ -690,24 +728,19 @@ def _split_with_windows(
     ``x2.window_array(hi)``, taken from the same distance arrays."""
     x1 = BlocksSet("nearer-side", (0,), (a, b), ("divergent",))
     x2 = BlocksSet("nearer-side", (1,), (a, b), ("divergent",))
-    pts, da, db = _nearer_side_distances(awin, bwin, hi)
+    da, db = _distance_field(awin, hi), _distance_field(bwin, hi)
     in1 = da >= db
     in2 = db >= da
-    windows = (pts[in1], pts[in2])
+    windows = (np.flatnonzero(in1), np.flatnonzero(in2))
     if not bool(np.all(in1 | in2)):
-        n = int(pts[~(in1 | in2)][0])
+        n = int(np.flatnonzero(~(in1 | in2))[0])
         return x1, x2, TriVerdict.no(uncovered=n), windows
-    evidence = []
-    for k in scales:
-        near1 = pts[in1 & (da <= k)]
-        near2 = pts[in2 & (db <= k)]
-        evidence.append(
-            {
-                "scale": k,
-                "last_near_a": int(near1[-1]) if near1.size else -1,
-                "last_near_b": int(near2[-1]) if near2.size else -1,
-            }
-        )
+    last_a = _last_within(np.where(in1, da, _FAR), scales).tolist()
+    last_b = _last_within(np.where(in2, db, _FAR), scales).tolist()
+    evidence = [
+        {"scale": k, "last_near_a": la, "last_near_b": lb}
+        for k, la, lb in zip(scales, last_a, last_b)
+    ]
     return x1, x2, TriVerdict.yes(window=hi, scales=evidence), windows
 
 

@@ -22,6 +22,17 @@ with its distance.  Every guarded pivot point below it lies within k of
 the candidate, so the stored check is a function of the family, the
 scale and the window alone, and the witness scan may stop as soon as it
 finds a far point.
+
+The scan takes the guarded pivot points in chunks and measures each
+chunk against a part of the candidate only: its points up to the
+chunk's last point plus k, and the first candidate point past them.
+That part holds both nearest candidate points of every chunk point p:
+the last one at or below p lies in the prefix, and the first one above
+p is either in the prefix or, if it lies past the chunk's last point
+plus k, the first candidate point past the prefix.  So every distance
+the scan reads, the stored one included, is the distance to the whole
+candidate.  The distances of the side points to the pivot come from one
+distance field over ``[0, window]``, built once.
 """
 
 from __future__ import annotations
@@ -40,6 +51,16 @@ from .verdict import TriVerdict
 
 class ObstructionRejected(ValueError):
     """Precondition failure: the family is not a valid falsifier input."""
+
+
+class ObstructionBudgetExhausted(ObstructionRejected):
+    """The window ran out before the certificate was complete: neither a
+    certificate nor a witness against the family, so the answer is unknown.
+    ``checks`` holds the scale checks made before it ran out, in order."""
+
+    def __init__(self, message: str, checks: Sequence[ScaleCheck] = ()):
+        super().__init__(message)
+        self.checks = tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -156,18 +177,39 @@ class BunchObstruction:
         return True
 
 
-def _first_far(points: np.ndarray, candidate: np.ndarray, k: int) -> tuple[int, int] | None:
-    """The first of the sorted ``points`` farther than ``k`` from ``candidate``,
-    with its distance, or None.  Scans chunks of 64, 128, 256, ... points
-    and stops at the first chunk that holds a far point."""
+def _chunks(n: int):
+    """``(start, stop)`` bounds of the chunks of 64, 128, 256, ... entries
+    that cover ``range(n)``."""
     start, size = 0, 64
-    while start < points.size:
-        dists = _distances_to(points[start : start + size], candidate)
-        far = np.flatnonzero(dists > k)
-        if far.size:
-            return int(points[start + far[0]]), int(dists[far[0]])
+    while start < n:
+        yield start, min(start + size, n)
         start += size
         size *= 2
+
+
+def _first_far(
+    points: np.ndarray, side: np.ndarray, d_side: np.ndarray, k: int
+) -> tuple[int, int] | None:
+    """The first of the sorted ``points`` farther than ``k`` from the
+    nonempty candidate ``side[d_side <= k]``, with its distance, or None.
+
+    Scans ``points`` chunk by chunk and stops at the first chunk that
+    holds a far point.  Each chunk is measured against the candidate
+    points up to its last point plus ``k``, and the first candidate
+    point past them (see the module docstring)."""
+    for start, stop in _chunks(points.size):
+        chunk = points[start:stop]
+        cut = int(np.searchsorted(side, chunk[-1] + k, "right"))
+        candidate = side[:cut][d_side[:cut] <= k]
+        for lo, hi in _chunks(side.size - cut):
+            hit = np.flatnonzero(d_side[cut + lo : cut + hi] <= k)
+            if hit.size:
+                candidate = np.append(candidate, side[cut + lo + hit[0]])
+                break
+        dists = _distances_to(chunk, candidate)
+        far = np.flatnonzero(dists > k)
+        if far.size:
+            return int(chunk[far[0]]), int(dists[far[0]])
     return None
 
 
@@ -207,25 +249,27 @@ def bunch_obstruction(
     half1, half2 = ls.sparsify_split(pivot)
     awin, bwin, lw_pad = ls._sparsify_windows(pivot, window)
     if awin.size == 0 or bwin.size == 0:
-        raise ObstructionRejected("window too small for the pivot member")
+        raise ObstructionBudgetExhausted("window too small for the pivot member")
     side1, side2, coverage, side_windows = ls._split_with_windows(half1, half2, awin, bwin, window)
+    field = ls._distance_field(lw_pad, window)
 
     checks: list[ScaleCheck] = []
     for side_idx, sw in enumerate(side_windows):
-        d_side = _distances_to(sw, lw_pad) if sw.size else sw
+        d_side = field[sw]
+        nearest = int(d_side.min()) if sw.size else None
         for k in range(scale_budget + 1):
-            candidate = sw[d_side <= k]
             witnesses = lw_pad[: np.searchsorted(lw_pad, window - k, "right")]
-            if candidate.size == 0:
+            if nearest is None or nearest > k:  # the candidate is empty
                 if witnesses.size == 0:
-                    raise ObstructionRejected("window too small for the pivot member")
+                    raise ObstructionBudgetExhausted("window too small for the pivot member", checks)
                 checks.append(ScaleCheck(k, side_idx, int(witnesses[0]), None))
                 continue
-            far = _first_far(witnesses, candidate, k)
+            far = _first_far(witnesses, sw, d_side, k)
             if far is None:
-                raise ObstructionRejected(
+                raise ObstructionBudgetExhausted(
                     f"scale check failed: side {side_idx} holds a candidate within "
-                    f"{k} of every member point up to the window"
+                    f"{k} of every member point up to the window",
+                    checks,
                 )
             checks.append(ScaleCheck(k, side_idx, *far))
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from coarselab import _bitops as bo
 from coarselab.backends import MetricLineBackend, NearnessQuery, nearness_of
-from coarselab.lineset import PeriodicSet
+from coarselab import lineset as ls
+from coarselab.lineset import PeriodicSet, _cushion, _distances_to, _padded_window
+from coarselab.nearness_lab import ScaleCheck
 from coarselab.setcore import Universe
 from coarselab.structures import ExplicitLSR
 
@@ -87,6 +89,62 @@ def line_product_pairs(rng: random.Random, count: int):
             continue
         kept += 1
         yield a, b
+
+
+def bunch_families(rng: random.Random, count: int):
+    """``count`` seeded families of two to four residue classes of one even
+    modulus from 4 to 12: pairwise disjoint, near, infinite exact sets."""
+    for _ in range(count):
+        modulus = 2 * rng.randint(2, 6)
+        residues = rng.sample(range(modulus), rng.randint(2, min(4, modulus)))
+        yield [ls.arithmetic(r, modulus) for r in residues]
+
+
+def reference_sides(pivot, window: int):
+    """The pivot's window, padded, and for each side of the normality split
+    of its sparsify halves: the side's points in ``[0, window]`` with their
+    distances to the pivot.  Every point of ``[0, window]`` is measured
+    against each half by ``searchsorted``.  None when a half has no point
+    in its padded window."""
+    halves = [_padded_window(h, window) for h in ls.sparsify_split(pivot)]
+    if any(h.size == 0 for h in halves):
+        return None
+    lw = pivot.window_array(window + _cushion(pivot, window))
+    pts = np.arange(window + 1, dtype=np.int64)
+    da, db = (_distances_to(pts, h) for h in halves)
+    return lw, [(sw, _distances_to(sw, lw)) for sw in (pts[da >= db], pts[db >= da])]
+
+
+def scale_checks_reference(family, budget: int, window: int):
+    """The scale checks of ``bunch_obstruction(family, budget, window)`` by
+    whole-window passes: each candidate is masked from its whole side, and
+    every guarded pivot point is measured against the whole candidate.
+
+    Returns the checks up to the first one the window cannot decide, and
+    that check's failure message, or None when all are decided."""
+    sides = reference_sides(family[0], window)
+    if sides is None:
+        return (), "window too small for the pivot member"
+    lw, sides = sides
+    checks = []
+    for side, (sw, d_side) in enumerate(sides):
+        for k in range(budget + 1):
+            candidate = sw[d_side <= k]
+            witnesses = lw[lw <= window - k]
+            if candidate.size == 0:
+                if witnesses.size == 0:
+                    return tuple(checks), "window too small for the pivot member"
+                checks.append(ScaleCheck(k, side, int(witnesses[0]), None))
+                continue
+            dists = _distances_to(witnesses, candidate)
+            far = np.flatnonzero(dists > k)
+            if far.size == 0:
+                return tuple(checks), (
+                    f"scale check failed: side {side} holds a candidate within "
+                    f"{k} of every member point up to the window"
+                )
+            checks.append(ScaleCheck(k, side, int(witnesses[far[0]]), int(dists[far[0]])))
+    return tuple(checks), None
 
 
 def _members(key: int) -> list[int]:

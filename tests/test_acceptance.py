@@ -51,7 +51,7 @@ from coarselab.structures import (
 )
 
 from digests import GOLDEN_DIR, golden_digest
-from oracles import brute_hausdorff, line_product_pairs, random_periodic
+from oracles import brute_hausdorff, bunch_families, line_product_pairs, random_periodic
 
 U3 = Universe.of("a", "b", "c")
 U4 = Universe.of("a", "b", "c", "d")
@@ -248,16 +248,9 @@ def test_criterion_5_bunch_obstructions():
     cert = bunch_obstruction([ls.evens(), ls.odds()], scale_budget=32, window=10**5)
     assert cert.complete
 
-    rng = random.Random(20260805)
-    built = 0
-    while built < 200:
-        modulus = 2 * rng.randint(2, 6)
-        count = rng.randint(2, min(4, modulus))
-        residues = rng.sample(range(modulus), count)
-        members = [ls.arithmetic(r, modulus) for r in residues]
+    for members in bunch_families(random.Random(20260805), 200):
         cert = bunch_obstruction(members, scale_budget=32, window=10**5)
         assert cert.complete, members
-        built += 1
 
     contrast_ok = True
     for universe in (Universe.of("a", "b"), U3):

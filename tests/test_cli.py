@@ -112,7 +112,16 @@ class TestBunch:
         assert code == 1
         assert "rejected" in out
 
-    def test_short_pivot_window_exits_one_without_traceback(self, tmp_path):
+    @staticmethod
+    def run_bunch(path, *flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", "bunch", str(path), "--json", *flags],
+            capture_output=True, text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, json.loads(proc.stdout)
+
+    def test_short_pivot_window_exits_four_without_traceback(self, tmp_path):
         doc = json.loads(NAT_LINE.read_text())
         doc["budgets"]["window"] = 5
         doc["queries"]["bunch"] = [
@@ -121,17 +130,22 @@ class TestBunch:
         ]
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "coarselab.cli", "bunch", str(path), "--json"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        payload = json.loads(proc.stdout)
+        code, payload = self.run_bunch(path)
+        assert code == 4
         assert payload["details"] == [
-            {"query": 0, "rejected": "window too small for the pivot member"}
+            {"query": 0, "unknown": "window too small for the pivot member"}
         ]
 
+    def test_window_too_small_for_a_scale_check_exits_four(self):
+        code, payload = self.run_bunch(NAT_LINE, "--window", "40")
+        assert code == 4
+        assert payload["details"] == [
+            {
+                "query": 0,
+                "unknown": "scale check failed: side 0 holds a candidate within 9 "
+                "of every member point up to the window",
+            }
+        ]
 
     @pytest.mark.parametrize(
         "edit",

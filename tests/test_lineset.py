@@ -29,6 +29,7 @@ from coarselab.lineset import (
     union,
     verify_gap_certificate,
 )
+from coarselab.lineset import _distance_field, _distances_to, _padded_window
 
 from oracles import brute_hausdorff, random_periodic
 
@@ -314,6 +315,66 @@ class TestWindowArray:
         x1, x2, _ = normality_split(left, right, 400)
         for x in (x1, x2):
             assert_window(x, 400)
+
+
+@st.composite
+def line_sets(draw):
+    """A set of every class: periodic and enumerated sets, sparsify halves
+    and nearer sides of periodic sets."""
+    kind = draw(st.sampled_from(["periodic", "enumerated", "sparsify-half", "nearer-side"]))
+    if kind == "periodic":
+        return draw(periodic_sets().filter(lambda s: not s.is_empty()))
+    if kind == "enumerated":
+        return draw(enumerated_sets().filter(lambda s: not s.is_empty()))
+    side = draw(st.integers(0, 1))
+    if kind == "sparsify-half":
+        return sparsify_split(draw(periodic_sets(infinite=True)))[side]
+    return BlocksSet(kind, (side,), (draw(periodic_sets(infinite=True)), draw(periodic_sets(infinite=True))))
+
+
+def assert_field(elems, hi: int) -> None:
+    elems = np.asarray(elems, dtype=np.int64)
+    expected = _distances_to(np.arange(hi + 1, dtype=np.int64), elems)
+    field = _distance_field(elems, hi)
+    assert field.dtype == np.int64
+    assert field.tolist() == expected.tolist()
+
+
+class TestDistanceField:
+    """``_distance_field(e, hi)`` is ``_distances_to(np.arange(hi + 1), e)``."""
+
+    @pytest.mark.parametrize(
+        "elems, hi",
+        [
+            ([0], 0),
+            ([3, 8], 0),
+            ([7], 30),
+            ([40, 50], 10),
+            ([2, 5, 6], 20),
+            ([0, 4, 9], 9),
+            ([1, 9, 30], 12),
+        ],
+        ids=["hi-zero", "hi-zero-above", "single", "all-above-hi", "finite-below-hi",
+             "ends-at-hi", "one-past-hi"],
+    )
+    def test_edges(self, elems, hi):
+        assert_field(elems, hi)
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 400), min_size=1, max_size=30, unique=True), st.integers(0, 300))
+    def test_sorted_arrays(self, elems, hi):
+        assert_field(sorted(elems), hi)
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(line_sets(), st.integers(0, 300))
+    def test_padded_windows_of_every_class(self, s, hi):
+        assert_field(_padded_window(s, hi), hi)
+
+    def test_empty_rejected(self):
+        with pytest.raises(LineSetError):
+            _distance_field(np.zeros(0, dtype=np.int64), 5)
 
 
 class TestAlgebra:

@@ -8,6 +8,7 @@ import pytest
 from coarselab import lineset as ls
 from coarselab.nearness_lab import (
     BunchObstruction,
+    ObstructionBudgetExhausted,
     ObstructionRejected,
     bunch_exists_explicit,
     bunch_obstruction,
@@ -19,6 +20,8 @@ from coarselab.structures import (
     proximal_nearness,
     topological_nearness,
 )
+
+from oracles import bunch_families, reference_sides, scale_checks_reference
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -113,6 +116,65 @@ def replay_scale_checks(cert):
         assert int(np.abs(candidate - l).min()) == check.distance_to_candidate > k
         gaps = np.abs(below[:, None] - candidate[None, :]).min(axis=1)
         assert (gaps <= k).all()
+
+
+def scale_checks_built(family, budget, window):
+    """``scale_checks_reference``'s shape from ``bunch_obstruction``."""
+    try:
+        return bunch_obstruction(family, budget, window).scale_checks, None
+    except ObstructionBudgetExhausted as e:
+        return e.checks, str(e)
+
+
+def checks_from_past_the_prefix(family, window, checks):
+    """The checks whose stored distance comes only from a candidate point
+    past the last point of the member point's witness chunk plus the
+    scale: the point the witness scan finds past the masked prefix."""
+    lw, sides = reference_sides(family[0], window)
+    out = []
+    for check in checks:
+        k, p, d = check.scale, check.member_point, check.distance_to_candidate
+        if d is None:
+            continue
+        sw, d_side = sides[check.side]
+        candidate = set(sw[d_side <= k].tolist())
+        witnesses = lw[lw <= window - k]
+        i = int(np.searchsorted(witnesses, p))
+        start, size = 0, 64
+        while start + size <= i:
+            start, size = start + size, 2 * size
+        last = int(witnesses[min(start + size, witnesses.size) - 1])
+        if p + d > last + k and p + d in candidate and p - d not in candidate:
+            out.append(check)
+    return out
+
+
+class TestScaleChecksReference:
+    """``bunch_obstruction``'s scale checks, from one distance field and
+    prefix masks, against the whole-window reference, on the first
+    families of criterion 5's draw."""
+
+    FAMILIES = [[ls.evens(), ls.odds()], *bunch_families(random.Random(20260805), 12)]
+
+    @pytest.mark.parametrize("window", [500, 2000, 10**4])
+    def test_complete_certificates(self, window):
+        for family in self.FAMILIES:
+            checks, failure = scale_checks_reference(family, 32, window)
+            assert failure is None
+            assert scale_checks_built(family, 32, window) == (checks, None)
+
+    def test_windows_that_run_out(self):
+        # Below about 40 the window runs out at some scale; the checks
+        # made before it, and the failure, must agree.  Here the only
+        # witness of a chunk can be far from every candidate point of
+        # the masked prefix, so its distance comes from the point past it.
+        past = []
+        for family in self.FAMILIES:
+            for window in range(4, 41):
+                expected = scale_checks_reference(family, 12, window)
+                assert scale_checks_built(family, 12, window) == expected
+                past += checks_from_past_the_prefix(family, window, expected[0])
+        assert past
 
 
 def _edit_pivot(doc):
