@@ -3,8 +3,10 @@
 Each record is the JSON of one finite-tier result on a fixed input grid:
 bounded sets, subspace restrictions, asymptotic dimension and induced
 nearness queries per backend, the H-nearness check per closure table,
-the map and equivalence checks per map pair, and seeded closures with
-their axiom reports (passing, not closed, and not downward closed).
+the map and equivalence checks per map pair, seeded closures with
+their axiom reports (passing, not closed, and not downward closed),
+and the regularity verdicts, two-determination verdicts and
+regularizations of the backends' collections and the seeded closures.
 ``golden/finite.sha256`` holds one sha256 per record, in ``sha256sum``
 layout; a faster implementation must reproduce every record byte for
 byte.  A digest may change only together with a CHANGES.md line that
@@ -15,6 +17,7 @@ Regenerate with ``PYTHONPATH=src python tests/test_golden_finite.py``.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -26,6 +29,7 @@ from coarselab.backends import (
     PartitionCoarseBackend,
     induced_nearness,
     nearness_of,
+    regularize,
 )
 from coarselab.dimension import asdim_explicit
 from coarselab.maps import ExplicitMap, is_ls_equivalence, is_lsr_map
@@ -37,7 +41,9 @@ from coarselab.structures import (
     bounded_mask,
     check_lsr_axioms,
     check_nearness_axioms,
+    is_a_lsr,
     is_h_nearness,
+    is_ls_regular,
 )
 
 from digests import GOLDEN_DIR, assert_golden, canonical, write_golden
@@ -145,21 +151,25 @@ def _random_keys(m: int, rng: random.Random, count: int) -> list[int]:
     return [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(count)]
 
 
+def _seeded_closures():
+    """(label, collection) of 80 seeded closures; None over the cap."""
+    for n, seeds in ((2, range(10)), (3, range(40)), (4, range(30))):
+        u = universe_of_size(n)
+        for seed in seeds:
+            rng = random.Random(1000 * n + seed)
+            yield f"closure{n}:{seed}", random_lsr(u, rng, extra=1 + seed % 3, cap=(2000, 8192)[seed % 2])
+
+
 def _closure_records():
     """Seeded closures (None over the cap) with both axiom reports, then
     generator down-closures that miss the union axioms and key sets that
     are not downward closed."""
-    for n, seeds in ((2, range(10)), (3, range(40)), (4, range(30))):
-        u = universe_of_size(n)
-        for seed in seeds:
-            label = f"closure{n}:{seed}"
-            rng = random.Random(1000 * n + seed)
-            lsr = random_lsr(u, rng, extra=1 + seed % 3, cap=(2000, 8192)[seed % 2])
-            yield f"{label} random_lsr", None if lsr is None else sorted(lsr.keys)
-            if lsr is not None:
-                yield f"{label} check_lsr_axioms", _report(check_lsr_axioms(lsr))
-                near = induced_nearness(ExplicitBackend(lsr))
-                yield f"{label} check_nearness_axioms", _report(check_nearness_axioms(near))
+    for label, lsr in _seeded_closures():
+        yield f"{label} random_lsr", None if lsr is None else sorted(lsr.keys)
+        if lsr is not None:
+            yield f"{label} check_lsr_axioms", _report(check_lsr_axioms(lsr))
+            near = induced_nearness(ExplicitBackend(lsr))
+            yield f"{label} check_nearness_axioms", _report(check_nearness_axioms(near))
     for n, seeds in ((2, range(6)), (3, range(12)), (4, range(12))):
         u = universe_of_size(n)
         m = 1 << n
@@ -173,17 +183,61 @@ def _closure_records():
             yield f"scattered{n}:{seed} check_lsr_axioms", _report(check_lsr_axioms(c))
 
 
+def _regularity_subjects():
+    """The collections of the backends (23 partitions and the seeded
+    closures), the seeded closures within the cap, then the down-closures
+    of the two-member families of three or four seeded sets, which are
+    often regular but not two-determined."""
+    for label, b in _backends():
+        yield label, b.to_explicit()
+    for label, lsr in _seeded_closures():
+        if lsr is not None:
+            yield label, lsr
+    for n in (2, 3):
+        u = universe_of_size(n)
+        for seed in range(8):
+            sets = random.Random(seed).sample(range(1 << n), 3 + seed % 2)
+            pairs = [Family.from_mask_key(u, 1 << s | 1 << t) for s, t in itertools.combinations(sets, 2)]
+            yield f"pairs{n}:{seed}", ExplicitLSR.from_generators(u, pairs)
+
+
+def _regularize(lsr):
+    try:
+        return sorted(regularize(lsr).keys)
+    except ValueError as e:
+        return {"ValueError": str(e)}
+
+
+def _regularity_records():
+    for label, lsr in _regularity_subjects():
+        yield f"{label} is_ls_regular", list(is_ls_regular(lsr))
+        yield f"{label} is_a_lsr", list(is_a_lsr(lsr))
+        yield f"{label} regularize", _regularize(lsr)
+
+
 def finite_records():
     """(label, canonical JSON) for every record of the grid, in order."""
     for label, b in _backends():
         for name, value in _backend_records(label, b):
             yield name, canonical(value)
-    for name, value in itertools.chain(_nearness_records(), _map_records(), _closure_records()):
+    records = (_nearness_records(), _map_records(), _closure_records(), _regularity_records())
+    for name, value in itertools.chain(*records):
         yield name, canonical(value)
 
 
 def test_finite_golden_digest():
     assert_golden(GOLDEN, finite_records())
+
+
+def test_regularity_grid_has_each_outcome():
+    """The regularity records hold irregular collections, whose
+    regularization raises, and regular ones that are not two-determined.
+    Counted as (regular, two-determined, regularize raised)."""
+    outcomes = collections.Counter()
+    for _, lsr in _regularity_subjects():
+        raised = isinstance(_regularize(lsr), dict)
+        outcomes[is_ls_regular(lsr)[0], is_a_lsr(lsr)[0], raised] += 1
+    assert outcomes == {(True, True, False): 75, (False, False, True): 44, (True, False, False): 6}
 
 
 if __name__ == "__main__":
