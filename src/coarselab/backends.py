@@ -32,7 +32,6 @@ from .structures import (
     _slots,
     bounded_mask,
     discrete_closure,
-    is_ls_regular,
     lsr_lambda_blocks,
     upset_table,
 )
@@ -687,9 +686,7 @@ def sampled_line_axiom_report(
 def regularize(c: ExplicitLSR) -> ExplicitLSR:
     """Two-element determination: families whose two-element subfamilies
     are all members.  Expects a regular input; the result is regular,
-    two-determined, and contains the input collection."""
-    regular, witness = is_ls_regular(c)
-    if not regular:
-        raise ValueError(f"collection is not regular: witness {witness}")
+    two-determined, and contains the input collection; ``lsr_lambda_blocks``
+    raises with the regularity witness when it is not regular."""
     keys = bo.down_closure(lsr_lambda_blocks(c), c.slots)
     return ExplicitLSR(c.universe, np.flatnonzero(keys).tolist())

@@ -52,11 +52,17 @@ class InstanceDocument:
 
     @property
     def scale_budget(self) -> int:
-        return _integer(self.budgets.get("scale", 32), "budgets.scale")
+        return self._budget("scale", 32)
 
     @property
     def window(self) -> int:
-        return _integer(self.budgets.get("window", 10**5), "budgets.window")
+        return self._budget("window", 10**5)
+
+    def _budget(self, key: str, default: int) -> int:
+        value = _integer(self.budgets.get(key, default), f"budgets.{key}")
+        if value < 0:
+            raise SchemaError(f"budgets.{key} must be nonnegative, not {value}")
+        return value
 
     @property
     def asdim_windows(self) -> list[int]:
@@ -101,6 +107,11 @@ def load_document(text: str) -> InstanceDocument:
             or not all(isinstance(x, str) for x in elements)
         ):
             raise SchemaError("finite space needs a nonempty list of string elements")
+        if len(set(elements)) < len(elements):
+            raise SchemaError("finite space elements must be distinct")
+    for key in ("queries", "budgets"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise SchemaError(f"{key} must be an object")
     doc = InstanceDocument(
         space=space,
         structures=raw.get("structures", []),

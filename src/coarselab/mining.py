@@ -137,45 +137,22 @@ def mine_non_ls_regular(max_size: int = 3, seed: int = 0, samples: int = 50) -> 
     the seeded random generator.  The first finding is the canonical
     (enumeration-least) witness.
     """
-    findings: list[Finding] = []
     for n in range(1, max_size + 1):
+        u = universe_of_size(n)
         if n <= 2:
-            for lsr in enumerate_lsrs(universe_of_size(n)):
-                regular, witness = is_ls_regular(lsr)
-                if not regular:
-                    findings.append(
-                        Finding(
-                            "non-ls-regular",
-                            f"collection on {n} points failing the split property",
-                            {
-                                "universe_size": n,
-                                "families": sorted(lsr.keys),
-                                "witness": witness,
-                            },
-                        )
-                    )
-                    return findings
+            candidates = enumerate_lsrs(u)
         else:
             rng = random.Random(seed + n)
-            for _ in range(samples):
-                lsr = random_lsr(universe_of_size(n), rng)
-                if lsr is None:
-                    continue
-                regular, witness = is_ls_regular(lsr)
-                if not regular:
-                    findings.append(
-                        Finding(
-                            "non-ls-regular",
-                            f"collection on {n} points failing the split property",
-                            {
-                                "universe_size": n,
-                                "families": sorted(lsr.keys),
-                                "witness": witness,
-                            },
-                        )
-                    )
-                    return findings
-    return findings
+            candidates = (random_lsr(u, rng) for _ in range(samples))
+        for lsr in candidates:
+            if lsr is None:
+                continue
+            regular, witness = is_ls_regular(lsr)
+            if not regular:
+                details = {"universe_size": n, "families": sorted(lsr.keys), "witness": witness}
+                description = f"collection on {n} points failing the split property"
+                return [Finding("non-ls-regular", description, details)]
+    return []
 
 
 def mine_nearness_product_failures(max_size: int = 4) -> list[Finding]:

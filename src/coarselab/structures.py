@@ -22,6 +22,7 @@ that keep |X| = 4 sweeps exhaustive-equivalent yet cheap:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -274,23 +275,49 @@ def is_ls_regular(c: ExplicitLSR) -> tuple[bool, dict | None]:
     violation at any family persists at a maximal family above it, and
     any successful split through arbitrary members also succeeds
     through maximal members above them.
-    """
-    u = c.universe
-    tops = c.maximal_keys()
-    tops_containing: dict[int, list[int]] = {}
-    for s in range(c.slots):
-        tops_containing[s] = [k for k in tops if k >> s & 1]
 
-    for fam_key in tops:
-        for a in bo.bits(fam_key):
-            for a1, a2 in _two_part_splits(a):
-                if not _splittable(c, fam_key, a1, a2, tops_containing):
-                    return False, {
-                        "family": _family_str(u, fam_key),
-                        "part1": _subset_str(u, a1),
-                        "part2": _subset_str(u, a2),
-                    }
+    A pair (k1, k2) splits a family F when every member of F is the
+    union of a k1 member and a k2 member, that is when F is a subfamily
+    of the pairwise-union product k1 v k2.  So with V the product table
+    of the maximal families and M their membership matrix over the
+    subset slots, the splits (a1, a2) that some pair holding a1 and a2
+    makes of F are the nonzero entries of M^T [F & ~V == 0] M.  Families
+    go in batches and V in row blocks, so that no intermediate array
+    holds much more than PAIR_BLOCK * m entries.  The witness is the
+    first unsplittable split in family, member set and
+    ``_two_part_splits`` order.
+    """
+    u, m = c.universe, c.slots
+    tops = np.asarray(c.maximal_keys(), dtype=np.int64)
+    n = tops.size
+    member = (tops[:, None] >> np.arange(m) & 1).astype(np.float32)
+    img = bo.vee_images(tops, m)
+    rows = max(1, bo.PAIR_BLOCK // n)
+    batch = max(1, bo.PAIR_BLOCK * m // (min(rows, n) * n))
+    split_a, split_1, split_2 = _split_table(m)
+    for f0 in range(0, n, batch):
+        fams = tops[f0 : f0 + batch]
+        held = np.zeros((fams.size, m, m), dtype=bool)
+        for i0 in range(0, n, rows):
+            covers = (fams[:, None, None] & ~bo.vee_block(tops[i0 : i0 + rows], img)) == 0
+            held |= member[i0 : i0 + rows].T @ (covers @ member) > 0
+        bad = (fams[:, None] >> split_a & 1 == 1) & ~held[:, split_1, split_2]
+        if bad.any():
+            f, s = divmod(int(bad.argmax()), bad.shape[1])
+            return False, {
+                "family": _family_str(u, int(fams[f])),
+                "part1": _subset_str(u, int(split_1[s])),
+                "part2": _subset_str(u, int(split_2[s])),
+            }
     return True, None
+
+
+@functools.cache
+def _split_table(m: int) -> tuple[np.ndarray, ...]:
+    """Columns (a, a1, a2) of every two-part split of every subset slot a,
+    in ascending a and ``_two_part_splits`` order."""
+    splits = [(a, a1, a2) for a in range(m) for a1, a2 in _two_part_splits(a)]
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*splits))
 
 
 def _two_part_splits(a: int) -> Iterator[tuple[int, int]]:
@@ -305,35 +332,11 @@ def _two_part_splits(a: int) -> Iterator[tuple[int, int]]:
                 yield a1, a2
 
 
-def _splittable(c, fam_key, a1, a2, tops_containing) -> bool:
-    for k1 in tops_containing[a1]:
-        for k2 in tops_containing[a2]:
-            if _covers(k1, k2, fam_key):
-                return True
-    return False
-
-
-def _covers(k1: int, k2: int, fam_key: int) -> bool:
-    """Every member of fam_key is a union of a k1 member and a k2 member."""
-    for cmask in bo.bits(fam_key):
-        ok = False
-        for u1 in bo.bits(k1):
-            if u1 & ~cmask:
-                continue
-            need = cmask & ~u1
-            for extra in bo.submasks(cmask & u1):
-                if k2 >> (need | extra) & 1:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
-
-
 def is_a_lsr(c: ExplicitLSR) -> tuple[bool, dict | None]:
-    """Regular and determined by two-element member families.
+    """Regular and determined by two-element member families: every
+    subfamily of a block of the pairwise-alike relation is a member.
+    The witness is the largest missing subfamily of the first block
+    that misses one.
 
     Assumes the collection passes the core axioms, which make the
     pairwise-alike relation an equivalence on subsets.
@@ -341,14 +344,15 @@ def is_a_lsr(c: ExplicitLSR) -> tuple[bool, dict | None]:
     regular, witness = is_ls_regular(c)
     if not regular:
         return False, {"reason": "not-ls-regular", **(witness or {})}
-    pair_blocks = _pair_relation_blocks(c)
-    for block in pair_blocks:
-        for key in bo.submasks(block):
-            if key not in c.keys:
-                return False, {
-                    "reason": "not-two-determined",
-                    "family": _family_str(c.universe, key),
-                }
+    table = c.table()
+    for block in _pair_relation_blocks(c):
+        subfamilies = bo.fold_or(block.bit_count(), [1 << s for s in bo.bits(block)])
+        missing = subfamilies[~table[subfamilies]]
+        if missing.size:
+            return False, {
+                "reason": "not-two-determined",
+                "family": _family_str(c.universe, int(missing[-1])),
+            }
     return True, None
 
 

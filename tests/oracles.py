@@ -20,8 +20,8 @@ from coarselab.backends import MetricLineBackend, NearnessQuery, nearness_of
 from coarselab import lineset as ls
 from coarselab.lineset import PeriodicSet, _cushion, _distances_to, _padded_window
 from coarselab.nearness_lab import ScaleCheck
-from coarselab.setcore import Universe
-from coarselab.structures import ExplicitLSR
+from coarselab.setcore import Family, Subset, Universe
+from coarselab.structures import ExplicitLSR, _two_part_splits
 
 
 def nearest_distance(sorted_elems: list[int], x: int) -> int:
@@ -201,3 +201,47 @@ def close_lsr_reference(universe: Universe, generator_keys, cap: int = 8192) -> 
             if len(keys) > cap:
                 return None
     return ExplicitLSR(universe, keys)
+
+
+def is_ls_regular_reference(c: ExplicitLSR) -> tuple[bool, dict | None]:
+    """``structures.is_ls_regular`` by its defining scan: for each maximal
+    family, member set and two-part split in turn, look for a pair of
+    maximal families holding the two parts whose pairwise unions give
+    every member of the family, one member and one submask at a time."""
+    u = c.universe
+    tops = c.maximal_keys()
+    for fam_key in tops:
+        for a in bo.bits(fam_key):
+            for a1, a2 in _two_part_splits(a):
+                if not any(
+                    _covers(k1, k2, fam_key)
+                    for k1 in tops
+                    if k1 >> a1 & 1
+                    for k2 in tops
+                    if k2 >> a2 & 1
+                ):
+                    return False, {
+                        "family": str(Family.from_mask_key(u, fam_key)),
+                        "part1": str(Subset(u, a1)),
+                        "part2": str(Subset(u, a2)),
+                    }
+    return True, None
+
+
+def _covers(k1: int, k2: int, fam_key: int) -> bool:
+    """Every member of fam_key is a union of a k1 member and a k2 member."""
+    for cmask in bo.bits(fam_key):
+        ok = False
+        for u1 in bo.bits(k1):
+            if u1 & ~cmask:
+                continue
+            need = cmask & ~u1
+            for extra in bo.submasks(cmask & u1):
+                if k2 >> (need | extra) & 1:
+                    ok = True
+                    break
+            if ok:
+                break
+        if not ok:
+            return False
+    return True

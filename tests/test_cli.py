@@ -40,6 +40,19 @@ class TestSchema:
         bad.write_text("{}")
         assert main(["check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "asdim"])
+    def test_repeated_element_exits_two_without_traceback(self, tmp_path, command):
+        doc = json.loads(THREE_POINT.read_text())
+        doc["space"]["elements"] = ["a", "b", "a"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", command, str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "schema error: finite space elements must be distinct\n"
+
 
 class TestCheck:
     def test_three_point_document(self, capsys):
@@ -154,8 +167,19 @@ class TestBunch:
             lambda doc: doc["queries"]["bunch"][0]["sets"][1].update(kind="bogus"),
             lambda doc: doc["budgets"].update(scale="x"),
             lambda doc: doc["queries"]["bunch"][0]["sets"].append("x"),
+            lambda doc: doc.update(queries=[doc["queries"]]),
+            lambda doc: doc["budgets"].update(window=-5),
+            lambda doc: doc["budgets"].update(scale=-1),
         ],
-        ids=["zero-step-progression", "unknown-kind", "non-integer-scale", "set-not-an-object"],
+        ids=[
+            "zero-step-progression",
+            "unknown-kind",
+            "non-integer-scale",
+            "set-not-an-object",
+            "queries-not-an-object",
+            "negative-window",
+            "negative-scale",
+        ],
     )
     def test_malformed_document_exits_two_without_traceback(self, tmp_path, edit):
         doc = json.loads(NAT_LINE.read_text())

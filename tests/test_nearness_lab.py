@@ -255,7 +255,7 @@ class TestRevalidate:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="revalidate trusts family, refiner_scale and the halves (ROADMAP item 4)",
+        reason="revalidate trusts family, refiner_scale and the halves (ROADMAP item 5)",
     )
     @pytest.mark.parametrize("kind", sorted(TRUSTED_EDITS))
     def test_trusted_field_edit_rejected(self, genuine, kind):

@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from coarselab import _bitops as bo
+from coarselab.mining import random_lsr, universe_of_size
 from coarselab.setcore import CapExceeded, Family, Universe
 from coarselab.structures import (
     ExplicitASR,
@@ -27,6 +30,8 @@ from coarselab.structures import (
     topological_nearness,
     validate_closure_table,
 )
+
+from oracles import is_ls_regular_reference
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -94,6 +99,21 @@ class TestLsrAxioms:
             assert report.result("intersecting-union").passed == direct_iii
 
 
+def regularity_inputs():
+    """Seeded closures on 1 to 4 points, then down-closures of seeded
+    random keys, which are mostly not closed."""
+    for n in range(1, 5):
+        u, m = universe_of_size(n), 1 << n
+        rng = random.Random(70 + n)
+        for _ in range(12):
+            lsr = random_lsr(u, rng, extra=rng.randint(1, 3))
+            if lsr is not None:
+                yield lsr
+        for _ in range(12):
+            keys = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(rng.randint(1, 4))]
+            yield ExplicitLSR(u, np.flatnonzero(bo.down_closure(keys, m)).tolist())
+
+
 class TestLsRegular:
     def test_three_point_instance_not_regular(self):
         regular, witness = is_ls_regular(abc_instance())
@@ -130,6 +150,38 @@ class TestLsRegular:
                     for cm in members
                 )
                 assert not covered
+
+    def test_matches_reference_scan(self):
+        verdicts = []
+        for c in regularity_inputs():
+            got = is_ls_regular(c)
+            assert got == is_ls_regular_reference(c)
+            verdicts.append(got[0])
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_matches_reference_scan_in_small_blocks(self, monkeypatch):
+        """With PAIR_BLOCK = 2 the families run in several batches, and
+        each batch builds the pairwise-union table in several row blocks.
+        Every batch starts its row blocks at the first maximal family, so
+        the vee_block calls that start there count the batches."""
+        monkeypatch.setattr(bo, "PAIR_BLOCK", 2)
+        calls = []
+        vee_block = bo.vee_block
+
+        def counted(fs, img):
+            calls.append(int(fs[0]))
+            assert len(fs) * img.shape[1] <= max(2, img.shape[1])
+            return vee_block(fs, img)
+
+        monkeypatch.setattr(bo, "vee_block", counted)
+        most = 0
+        for c in regularity_inputs():
+            calls.clear()
+            assert is_ls_regular(c) == is_ls_regular_reference(c)
+            if calls:
+                batches = calls.count(calls[0])
+                most = max(most, min(batches, len(calls) // batches))
+        assert most >= 3
 
 
 class TestALsr:
