@@ -157,7 +157,8 @@ def _seeded_closures():
         u = universe_of_size(n)
         for seed in seeds:
             rng = random.Random(1000 * n + seed)
-            yield f"closure{n}:{seed}", random_lsr(u, rng, extra=1 + seed % 3, cap=(2000, 8192)[seed % 2])
+            lsr = random_lsr(u, rng, extra=1 + seed % 3, cap=(2000, 8192)[seed % 2])
+            yield f"closure{n}:{seed}", lsr
 
 
 def _closure_records():
@@ -197,8 +198,9 @@ def _regularity_subjects():
         u = universe_of_size(n)
         for seed in range(8):
             sets = random.Random(seed).sample(range(1 << n), 3 + seed % 2)
-            pairs = [Family.from_mask_key(u, 1 << s | 1 << t) for s, t in itertools.combinations(sets, 2)]
-            yield f"pairs{n}:{seed}", ExplicitLSR.from_generators(u, pairs)
+            pairs = itertools.combinations(sets, 2)
+            gens = [Family.from_mask_key(u, 1 << s | 1 << t) for s, t in pairs]
+            yield f"pairs{n}:{seed}", ExplicitLSR.from_generators(u, gens)
 
 
 def _regularize(lsr):
