@@ -23,6 +23,12 @@ of all steps), and past ``N0 + 2L`` the point-to-set distance functions
 repeat with period ``L`` as well, so the supremum over ``[0, N0 + 3L]``
 is already the global supremum.  Tests validate this bound against a
 brute-force window oracle.
+
+A distance field lists the distances from the points of ``[0, hi]`` to
+a set.  ``_distance_field`` scans a padded window for one; the bunch
+build path derives its three instead (``_sparsify_fields``): its pivot,
+an infinite periodic set, gets its field from one period, and each
+sparsify half's field comes from the pivot's.
 """
 
 from __future__ import annotations
@@ -406,30 +412,47 @@ def _sparsify_side(idx: int) -> int | None:
     return None
 
 
+def _sparsify_runs(n: int, side: int) -> list[tuple[int, int]]:
+    """The nonempty runs ``[start, stop)`` of 0-based indices below ``n``
+    that ``_sparsify_side`` assigns to side ``side``, ascending."""
+    lo, hi = (1, 2) if side == 0 else (4, 8)
+    runs, p = [], 1
+    while lo * p <= n:
+        runs.append((lo * p - 1, min(hi * p - 1, n)))
+        p *= 16
+    return runs
+
+
 def _sparsify_take(base: np.ndarray, side: int) -> np.ndarray:
     """The elements of ``base``, a window of a sparsified set, whose 1-based
     index ``_sparsify_side`` assigns to side ``side``."""
-    lo, hi = (1, 2) if side == 0 else (4, 8)
-    keep = np.zeros(base.size, dtype=bool)
-    p = 1
-    while p <= base.size:
-        keep[lo * p - 1 : hi * p - 1] = True
-        p *= 16
-    return base[keep]
+    return np.concatenate([base[:0]] + [base[a:b] for a, b in _sparsify_runs(base.size, side)])
 
 
-def _sparsify_windows(base: LineSet, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_padded_window(h, hi)`` for both halves ``h`` of ``sparsify_split(base)``,
-    then ``_padded_window(base, hi)``, all cut from one window of ``base``.
+def _sparsify_fields(
+    base: PeriodicSet, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """For an infinite periodic ``base``: ``_padded_window(base, hi)``, its
+    distance field over ``[0, hi]``, and the fields over ``[0, hi]`` of
+    ``_padded_window(h, hi)`` for both halves ``h`` of
+    ``sparsify_split(base)`` (None where that window is empty).
 
-    A half's window up to any top is ``_sparsify_take`` of the base's
-    window up to that top, and a base window up to a lower top is a
-    prefix of it.  Only the three returned arrays outlive the call.
+    A half's window is ``_sparsify_take`` of one window of ``base``, a
+    union of index runs; only the run ends outlive that window, which is
+    freed before any field is built.
     """
     tops = [hi + _cushion(s, hi) for s in (*sparsify_split(base), base)]
     full = base.window_array(max(tops))
-    cut1, cut2, cut_base = np.searchsorted(full, tops, "right")
-    return _sparsify_take(full[:cut1], 0), _sparsify_take(full[:cut2], 1), full[:cut_base].copy()
+    cut1, cut2, cut_base = np.searchsorted(full, tops, "right").tolist()
+    runs = [
+        [(int(full[a]), int(full[b - 1])) for a, b in _sparsify_runs(cut, side)]
+        for side, cut in ((0, cut1), (1, cut2))
+    ]
+    window = full[:cut_base].copy()
+    del full
+    field = _periodic_field(base, hi)
+    halves = [_runs_field(field, r, hi) if r else None for r in runs]
+    return window, field, halves[0], halves[1]
 
 
 def lineset_from_json(doc: dict) -> LineSet:
@@ -555,13 +578,60 @@ def _distance_field(elems: np.ndarray, hi: int) -> np.ndarray:
     return np.minimum(left, right, out=left)
 
 
-def _last_within(dists: np.ndarray, scales) -> np.ndarray:
-    """For each scale ``k``, the last index ``i`` with ``dists[i] <= k``, or -1.
+def _periodic_field(s: PeriodicSet, hi: int) -> np.ndarray:
+    """``_distance_field(_padded_window(s, hi), hi)`` for an infinite
+    periodic ``s``, built exactly up to ``N0 + 2L`` only.
 
-    The running min of ``dists`` taken from the right is nondecreasing,
-    and its entries at most ``k`` are exactly those up to that index."""
-    tail_min = np.minimum.accumulate(dists[::-1])[::-1]
-    return np.searchsorted(tail_min, scales, "right") - 1
+    Past ``N0`` membership repeats with period ``L``, and every ``L``
+    consecutive integers there hold an element.  So from ``N0 + L`` on,
+    both nearest elements of a point lie within ``L`` of it and above
+    ``N0``, and the field repeats with period ``L``: past ``N0 + 2L`` it
+    is ``field[N0 + L : N0 + 2L]`` tiled.
+    """
+    n0, per = s.stabilization_base(), s.period()
+    head = n0 + 2 * per
+    if hi <= head:
+        return _distance_field(_padded_window(s, hi), hi)
+    field = np.empty(hi + 1, dtype=np.int64)
+    field[:head] = _distance_field(_padded_window(s, head), head)[:head]
+    body = field[n0 + per :]
+    body[:] = np.tile(body[:per], body.size // per + 1)[: body.size]
+    return field
+
+
+def _runs_field(field: np.ndarray, runs: list[tuple[int, int]], hi: int) -> np.ndarray:
+    """``_distance_field`` over ``[0, hi]`` of some index runs of a sorted
+    array, given each run's first and last element, ascending, and the
+    array's exact ``field``.
+
+    Between a run's ends a point's nearest elements are the array's, so
+    its distance is ``field``'s; in a gap between runs they are the run
+    end before the gap, up to its midpoint, and the run start after it."""
+    out = field.copy()
+    ends = [-_FAR] + [last for _, last in runs]  # the run end before each gap
+    starts = [first for first, _ in runs] + [_FAR]  # the run start after it
+    for prev, nxt in zip(ends, starts):
+        lo, top = max(prev + 1, 0), min(nxt - 1, hi)
+        if lo > hi:
+            break
+        mid = min(max((prev + nxt) // 2, lo - 1), top)
+        out[lo : mid + 1] = np.arange(lo - prev, mid + 1 - prev)
+        out[mid + 1 : top + 1] = np.arange(nxt - mid - 1, nxt - top - 1, -1)
+    return out
+
+
+def _last_within(dists: np.ndarray, keep: np.ndarray, scales) -> np.ndarray:
+    """For each scale ``k``, the last index ``i`` with ``keep[i]`` and
+    ``dists[i] <= k``, or -1.
+
+    Only the kept indices within the largest scale can answer.  Over
+    them, the running min of the distances taken from the right is
+    nondecreasing, and its entries at most ``k`` are exactly those up to
+    the answer."""
+    idx = np.flatnonzero(keep & (dists <= max(scales, default=-1)))
+    tail_min = np.minimum.accumulate(dists[idx][::-1])[::-1]
+    pos = np.searchsorted(tail_min, scales, "right") - 1
+    return np.append(idx, -1)[pos]  # a position of -1 reads the appended -1
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +641,20 @@ def _last_within(dists: np.ndarray, scales) -> np.ndarray:
 
 def hausdorff_distance(a: LineSet, b: LineSet) -> ExtendedDistance:
     """Exact extended Hausdorff distance between nonempty exact-tier sets."""
+    return _exact_distance(a, b)[0]
+
+
+def _exact_distance(a: LineSet, b: LineSet) -> tuple[ExtendedDistance, list | None]:
+    """``hausdorff_distance(a, b)``, and the ``_directed_distances`` it was
+    read from (None where it is infinite)."""
     if not (a.is_exact() and b.is_exact()):
         raise LineSetError("exact distance needs Finite/Periodic sets; use hausdorff_at_scale")
     if a.is_empty() or b.is_empty():
         raise LineSetError("Hausdorff distance to the empty set is undefined")
     if a.is_finite() != b.is_finite():
-        return INF
-    return ExtendedDistance.finite(max(int(d.max()) for _, d in _directed_distances(a, b)))
+        return INF, None
+    directed = _directed_distances(a, b)
+    return ExtendedDistance.finite(max(int(d.max()) for _, d in directed)), directed
 
 
 def _directed_distances(a: LineSet, b: LineSet) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -611,10 +688,10 @@ def hausdorff_at_scale(a: LineSet, b: LineSet, k: int, hi: int) -> TriVerdict:
     if hi < k:
         raise ValueError("window must be at least the scale")
     if a.is_exact() and b.is_exact():
-        d = hausdorff_distance(a, b)
+        d, directed = _exact_distance(a, b)
         if d.leq(k):
             return TriVerdict.yes(distance=d.value)
-        point, side = _far_point(a, b, k)
+        point, side = _far_point(a, b, k, directed)
         return TriVerdict.no(point=point, side=side, scale=k)
     wins = (a.window_array(hi), b.window_array(hi))
     for side in (0, 1):
@@ -633,10 +710,11 @@ def hausdorff_at_scale(a: LineSet, b: LineSet, k: int, hi: int) -> TriVerdict:
     return TriVerdict.unknown(budget=hi, scale=k)
 
 
-def _far_point(a: LineSet, b: LineSet, k: int) -> tuple[int, int]:
-    """A concrete witness point at distance > k, for an exact-tier pair known > k."""
+def _far_point(a: LineSet, b: LineSet, k: int, directed: list | None) -> tuple[int, int]:
+    """A concrete witness point at distance > k, for an exact-tier pair known
+    > k, whose ``_exact_distance`` read ``directed``."""
     fa = a.is_finite()
-    if fa != b.is_finite():
+    if directed is None:
         inf_side, fin_side = (b, a) if fa else (a, b)
         top = int(fin_side.window_array(1 << 62)[-1]) + k + 1
         hi = max(2 * top, 64)
@@ -646,7 +724,7 @@ def _far_point(a: LineSet, b: LineSet, k: int) -> tuple[int, int]:
             if far.size:
                 return int(far[0]), 1 if fa else 0
             hi *= 4
-    for side, (points, dists) in enumerate(_directed_distances(a, b)):
+    for side, (points, dists) in enumerate(directed):
         far = np.flatnonzero(dists > k)
         if far.size:
             return int(points[far[0]]), side
@@ -710,37 +788,38 @@ def normality_split(
     of ``a`` and of ``x2`` within ``k`` of ``b``, the raw evidence for
     judging scale-``k`` disjointness of each side from its far set.
     """
-    awin, bwin = _padded_window(a, hi), _padded_window(b, hi)
-    x1, x2, verdict, _ = _split_with_windows(a, b, awin, bwin, hi, scales)
+    da = _distance_field(_padded_window(a, hi), hi)
+    db = _distance_field(_padded_window(b, hi), hi)
+    x1, x2, verdict, _ = _split_with_windows(a, b, da, db, hi, scales)
     return x1, x2, verdict
 
 
 def _split_with_windows(
     a: LineSet,
     b: LineSet,
-    awin: np.ndarray,
-    bwin: np.ndarray,
+    da: np.ndarray,
+    db: np.ndarray,
     hi: int,
     scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
 ) -> tuple[BlocksSet, BlocksSet, TriVerdict, tuple[np.ndarray, np.ndarray]]:
-    """``normality_split`` from the padded windows ``awin`` and ``bwin`` of
-    ``a`` and ``b``, plus the windows ``x1.window_array(hi)`` and
-    ``x2.window_array(hi)``, taken from the same distance arrays."""
+    """``normality_split`` from the distance fields ``da`` and ``db`` of
+    ``a`` and ``b`` over ``[0, hi]``, plus the windows ``x1.window_array(hi)``
+    and ``x2.window_array(hi)``, taken from the same fields.
+
+    Every point has ``da >= db`` or ``db >= da``, so the sides always
+    cover ``[0, hi]`` and the verdict is always Yes; the coverage of
+    stored sides is ``BunchObstruction.revalidate``'s own check."""
     x1 = BlocksSet("nearer-side", (0,), (a, b), ("divergent",))
     x2 = BlocksSet("nearer-side", (1,), (a, b), ("divergent",))
-    da, db = _distance_field(awin, hi), _distance_field(bwin, hi)
     in1 = da >= db
     in2 = db >= da
-    windows = (np.flatnonzero(in1), np.flatnonzero(in2))
-    if not bool(np.all(in1 | in2)):
-        n = int(np.flatnonzero(~(in1 | in2))[0])
-        return x1, x2, TriVerdict.no(uncovered=n), windows
-    last_a = _last_within(np.where(in1, da, _FAR), scales).tolist()
-    last_b = _last_within(np.where(in2, db, _FAR), scales).tolist()
+    last_a = _last_within(da, in1, scales).tolist()
+    last_b = _last_within(db, in2, scales).tolist()
     evidence = [
         {"scale": k, "last_near_a": la, "last_near_b": lb}
         for k, la, lb in zip(scales, last_a, last_b)
     ]
+    windows = (np.flatnonzero(in1), np.flatnonzero(in2))
     return x1, x2, TriVerdict.yes(window=hi, scales=evidence), windows
 
 

@@ -31,8 +31,13 @@ the last one at or below p lies in the prefix, and the first one above
 p is either in the prefix or, if it lies past the chunk's last point
 plus k, the first candidate point past the prefix.  So every distance
 the scan reads, the stored one included, is the distance to the whole
-candidate.  The distances of the side points to the pivot come from one
-distance field over ``[0, window]``, built once.
+candidate.
+
+The three distance fields over ``[0, window]`` come from
+``lineset._sparsify_fields``: the pivot's, exact up to ``N0 + 2L`` and
+one period tiled past it, gives the side points' distances to the
+pivot; each sparsify half's, the pivot's inside the half's index runs
+and filled from the run ends between them, gives the two sides.
 """
 
 from __future__ import annotations
@@ -44,9 +49,14 @@ import numpy as np
 
 from . import lineset as ls
 from .lineset import _cushion, _distances_to
-from .setcore import Family
+from .setcore import CapExceeded, Family
 from .structures import ExplicitNearness, ExplicitProximity, enumerate_clusters, is_bunch
 from .verdict import TriVerdict
+
+
+# The build holds a pivot window up to 5 * window + 64 and three distance
+# fields over [0, window]: at the cap, about 0.7 GB for the naturals.
+WINDOW_CAP = 10**7
 
 
 class ObstructionRejected(ValueError):
@@ -218,6 +228,8 @@ def bunch_obstruction(
 ) -> BunchObstruction:
     """Build the non-extension certificate for a near family of pairwise
     disjoint infinite exact-tier sets."""
+    if window > WINDOW_CAP:
+        raise CapExceeded(f"window {window} exceeds the cap {WINDOW_CAP}")
     members = list(family)
     if len(members) < 2:
         raise ObstructionRejected("need at least two members")
@@ -247,11 +259,12 @@ def bunch_obstruction(
 
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
-    awin, bwin, lw_pad = ls._sparsify_windows(pivot, window)
-    if awin.size == 0 or bwin.size == 0:
+    lw_pad, field, field1, field2 = ls._sparsify_fields(pivot, window)
+    if field1 is None or field2 is None:
         raise ObstructionBudgetExhausted("window too small for the pivot member")
-    side1, side2, coverage, side_windows = ls._split_with_windows(half1, half2, awin, bwin, window)
-    field = ls._distance_field(lw_pad, window)
+    side1, side2, coverage, side_windows = ls._split_with_windows(
+        half1, half2, field1, field2, window
+    )
 
     checks: list[ScaleCheck] = []
     for side_idx, sw in enumerate(side_windows):

@@ -35,6 +35,13 @@ def nearest_distance(sorted_elems: list[int], x: int) -> int:
     return best
 
 
+def last_within_reference(dists: np.ndarray, scales) -> np.ndarray:
+    """For each scale ``k``, the last index ``i`` with ``dists[i] <= k``, or
+    -1, from one running min of the whole array taken from the right."""
+    tail_min = np.minimum.accumulate(dists[::-1])[::-1]
+    return np.searchsorted(tail_min, scales, "right") - 1
+
+
 def brute_hausdorff(a: PeriodicSet, b: PeriodicSet) -> int:
     """Directed sups over [0, W] with W = 10 * (N0 + 2L), exact point distances."""
     n0 = max(a.stabilization_base(), b.stabilization_base())

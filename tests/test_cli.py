@@ -160,6 +160,22 @@ class TestBunch:
             }
         ]
 
+    @pytest.mark.parametrize("where", ["flag", "document"])
+    def test_window_over_the_cap_exits_three_without_traceback(self, tmp_path, where):
+        doc = json.loads(NAT_LINE.read_text())
+        flags = ["--window", str(10**12)] if where == "flag" else []
+        if where == "document":
+            doc["budgets"]["window"] = 10**12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", "bunch", str(path), "--json", *flags],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("cap exceeded: window 1000000000000 exceeds the cap")
+
     @pytest.mark.parametrize(
         "edit",
         [

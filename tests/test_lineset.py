@@ -29,9 +29,20 @@ from coarselab.lineset import (
     union,
     verify_gap_certificate,
 )
-from coarselab.lineset import _distance_field, _distances_to, _padded_window
+from coarselab.lineset import (
+    _FAR,
+    _distance_field,
+    _distances_to,
+    _last_within,
+    _padded_window,
+    _periodic_field,
+    _runs_field,
+    _sparsify_fields,
+    _sparsify_runs,
+    _sparsify_take,
+)
 
-from oracles import brute_hausdorff, random_periodic
+from oracles import brute_hausdorff, last_within_reference, random_periodic
 
 
 class TestMembership:
@@ -157,6 +168,19 @@ class TestHausdorffAtScale:
         v = hausdorff_at_scale(naturals(), blocks, 5, 10**4)
         assert v.is_no
         assert point_distance(blocks, v.witness["point"]) > 5
+
+    def test_far_exact_pair_builds_each_window_once(self, monkeypatch):
+        calls = []
+        build = PeriodicSet.window_array
+
+        def counted(self, hi):
+            calls.append(hi)
+            return build(self, hi)
+
+        monkeypatch.setattr(PeriodicSet, "window_array", counted)
+        v = hausdorff_at_scale(arithmetic(0, 10), arithmetic(0, 3), 1, 100)
+        assert v.is_no
+        assert calls == [151, 151]
 
     def test_unknown_on_exhaustion(self):
         a = GeometricSet(1, 2, 1)
@@ -375,6 +399,100 @@ class TestDistanceField:
     def test_empty_rejected(self):
         with pytest.raises(LineSetError):
             _distance_field(np.zeros(0, dtype=np.int64), 5)
+
+
+def run_ends(elems: np.ndarray, n: int, side: int) -> list[tuple[int, int]]:
+    """First and last element of each run of ``_sparsify_take(elems[:n], side)``."""
+    return [(int(elems[a]), int(elems[b - 1])) for a, b in _sparsify_runs(n, side)]
+
+
+def assert_sparsify_fields(base, hi: int) -> None:
+    window, field, *halves = _sparsify_fields(base, hi)
+    assert window.tolist() == _padded_window(base, hi).tolist()
+    assert field.tolist() == _distance_field(window, hi).tolist()
+    for half, got in zip(sparsify_split(base), halves):
+        win = _padded_window(half, hi)
+        assert (got is None) == (win.size == 0)
+        if got is not None:
+            assert got.tolist() == _distance_field(win, hi).tolist()
+
+
+class TestBuildFields:
+    """The bunch build path's fields equal ``_distance_field`` of the
+    windows they stand for."""
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(periodic_sets(infinite=True), st.integers(-3, 3), st.integers(0, 400))
+    def test_periodic_field_matches_distance_field(self, s, shift, far):
+        n0, per = s.stabilization_base(), s.period()
+        tops = [n0 + per + shift, n0 + 2 * per + shift, n0 + 2 * per + far]
+        for hi in (0, n0, *tops):
+            hi = max(hi, 0)
+            expected = _distance_field(_padded_window(s, hi), hi)
+            assert _periodic_field(s, hi).tolist() == expected.tolist()
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 600), min_size=1, max_size=80, unique=True),
+        st.data(),
+        st.integers(0, 500),
+    )
+    def test_runs_field_matches_distance_field(self, elems, data, hi):
+        # n cuts the sorted array anywhere: inside a run, between runs, or
+        # before the first run of side 1 (n < 4)
+        elems = np.asarray(sorted(elems), dtype=np.int64)
+        n = data.draw(st.integers(1, elems.size))
+        for side in (0, 1):
+            take = _sparsify_take(elems[:n], side)
+            runs = run_ends(elems, n, side)
+            assert bool(runs) == bool(take.size)
+            if runs:
+                got = _runs_field(_distance_field(elems, hi), runs, hi)
+                assert got.tolist() == _distance_field(take, hi).tolist()
+
+    @pytest.mark.parametrize(
+        "n, side",
+        [(1, 0), (3, 1), (4, 1), (6, 1), (8, 1), (20, 0), (31, 0), (40, 1), (70, 1)],
+        ids=["first-of-0", "before-1", "first-of-1", "inside-1", "end-of-1", "inside-0",
+             "end-of-0", "gap-of-1", "second-run-of-1"],
+    )
+    def test_runs_field_at_cuts(self, n, side):
+        elems = np.asarray(evens().window(400), dtype=np.int64)
+        take = _sparsify_take(elems[:n], side)
+        runs = run_ends(elems, n, side)
+        assert bool(runs) == (n != 3)  # n = 3 stops before the first run of side 1
+        for hi in (0, 5, int(take[-1]), int(take[-1]) + 7, 300) if runs else ():
+            got = _runs_field(_distance_field(elems, hi), runs, hi)
+            assert got.tolist() == _distance_field(take, hi).tolist()
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(periodic_sets(infinite=True), st.integers(0, 700))
+    def test_sparsify_fields_match_padded_windows(self, base, hi):
+        assert_sparsify_fields(base, hi)
+
+    def test_sparsify_fields_of_a_sparse_base_at_small_windows(self):
+        # {0, 40, 80, ...}: up to window 11 the second half's window is
+        # empty; at 12 to 30 it ends inside its first run, and at 170 the
+        # first half's window ends inside its second run
+        for hi in (0, 5, 11, 12, 13, 30, 100, 170):
+            assert_sparsify_fields(arithmetic(0, 40), hi)
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), min_size=0, max_size=120),
+        st.data(),
+        st.lists(st.integers(0, 70), min_size=0, max_size=8),
+    )
+    def test_last_within_matches_reference(self, dists, data, scales):
+        dists = np.asarray(dists, dtype=np.int64)
+        flags = st.lists(st.booleans(), min_size=dists.size, max_size=dists.size)
+        keep = np.asarray(data.draw(flags), dtype=bool)
+        expected = last_within_reference(np.where(keep, dists, _FAR), tuple(scales))
+        assert _last_within(dists, keep, tuple(scales)).tolist() == expected.tolist()
 
 
 class TestAlgebra:

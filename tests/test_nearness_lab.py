@@ -7,6 +7,7 @@ import pytest
 
 from coarselab import lineset as ls
 from coarselab.nearness_lab import (
+    WINDOW_CAP,
     BunchObstruction,
     ObstructionBudgetExhausted,
     ObstructionRejected,
@@ -14,7 +15,7 @@ from coarselab.nearness_lab import (
     bunch_obstruction,
     cluster_extension_contrast,
 )
-from coarselab.setcore import Universe
+from coarselab.setcore import CapExceeded, Universe
 from coarselab.structures import (
     ExplicitProximity,
     proximal_nearness,
@@ -54,6 +55,10 @@ class TestObstruction:
         members = [ls.arithmetic(0, 40), ls.arithmetic(1, 40)]
         with pytest.raises(ObstructionRejected, match="window too small for the pivot member"):
             bunch_obstruction(members, scale_budget=32, window=5)
+
+    def test_window_over_the_cap_raises_before_any_build(self):
+        with pytest.raises(CapExceeded, match="exceeds the cap"):
+            bunch_obstruction([ls.evens(), ls.odds()], scale_budget=32, window=WINDOW_CAP + 1)
 
     def test_halves_inside_pivot(self):
         cert = bunch_obstruction([ls.evens(), ls.odds()], 8, 10**4)
