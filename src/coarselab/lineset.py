@@ -807,8 +807,9 @@ def _split_with_windows(
     and ``x2.window_array(hi)``, taken from the same fields.
 
     Every point has ``da >= db`` or ``db >= da``, so the sides always
-    cover ``[0, hi]`` and the verdict is always Yes; the coverage of
-    stored sides is ``BunchObstruction.revalidate``'s own check."""
+    cover ``[0, hi]`` and the verdict is always Yes; this is why
+    ``BunchObstruction.revalidate`` need not check the coverage of sides
+    that equal ``x1`` and ``x2``."""
     x1 = BlocksSet("nearer-side", (0,), (a, b), ("divergent",))
     x2 = BlocksSet("nearer-side", (1,), (a, b), ("divergent",))
     in1 = da >= db

@@ -38,6 +38,22 @@ The three distance fields over ``[0, window]`` come from
 one period tiled past it, gives the side points' distances to the
 pivot; each sparsify half's, the pivot's inside the half's index runs
 and filled from the run ends between them, gives the two sides.
+
+``BunchObstruction.revalidate`` rebuilds none of the stored sets.  The
+pivot must be ``family[0]`` and an infinite periodic set; the halves
+must equal ``sparsify_split(pivot)`` and the sides the two
+``nearer-side`` sets of those halves, so both follow from the pivot,
+and the sides cover the line by construction.  The three fields come
+from the same ``_sparsify_fields`` call as in the build: each side's
+window is where its half field is the larger, and its points'
+distances to the pivot are the pivot's field there.  A member point
+passes where the pivot's field is 0.  A stored distance ``D`` is not
+recomputed but tested: ``D`` is the distance from ``l`` to the scale-k
+candidate exactly when no candidate point lies strictly between
+``l - D`` and ``l + D`` and one of the two is a candidate point.  Two
+``searchsorted`` calls over a side's window find both ends and the
+points between them for all of that side's checks at once, and one
+``np.minimum.reduceat`` takes the least pivot distance between them.
 """
 
 from __future__ import annotations
@@ -48,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lineset as ls
-from .lineset import _cushion, _distances_to
+from .lineset import _distances_to
 from .setcore import CapExceeded, Family
 from .structures import ExplicitNearness, ExplicitProximity, enumerate_clusters, is_bunch
 from .verdict import TriVerdict
@@ -105,7 +121,9 @@ class BunchObstruction:
 
     @property
     def complete(self) -> bool:
-        if not self.coverage.is_yes:
+        # more (scale, side) pairs than checks cannot all be seen; testing
+        # that first keeps a forged budget from sizing the set below
+        if not self.coverage.is_yes or 2 * (self.scale_budget + 1) > len(self.scale_checks):
             return False
         seen = {(c.scale, c.side) for c in self.scale_checks}
         want = {(k, s) for k in range(self.scale_budget + 1) for s in (0, 1)}
@@ -149,40 +167,55 @@ class BunchObstruction:
         )
 
     def revalidate(self) -> bool:
-        """Re-check every certified component from the stored data.
-
-        Each stored side's window, and its distances to the pivot, are
-        built once and shared by all the scale checks of that side.
-        """
-        if not self.complete or self.window < 0:
+        """Re-check the certificate from its pivot alone: the halves and
+        sides must be the ones the pivot determines, and every scale
+        check is tested against the pivot's distance fields (see the
+        module docstring).  Raises ``CapExceeded`` above ``WINDOW_CAP``
+        before anything is built."""
+        window, pivot, checks = self.window, self.pivot, self.scale_checks
+        if window > WINDOW_CAP:
+            raise CapExceeded(f"window {window} exceeds the cap {WINDOW_CAP}")
+        if not self.complete or window < 0 or not self.family or pivot != self.family[0]:
             return False
-        for half in (self.half1, self.half2):
-            probe = half.window(4096)
-            if any(not self.pivot.contains(x) for x in probe):
-                return False
-            if len(probe) < 8:
-                return False
-        windows = (self.side1.window_array(self.window), self.side2.window_array(self.window))
-        # window_array(hi) holds points of [0, hi] only, so a table covers it
-        covered = np.zeros(self.window + 1, dtype=bool)
-        covered[np.concatenate(windows)] = True
-        if not covered.all():
+        if not isinstance(pivot, ls.PeriodicSet) or pivot.is_finite():
             return False
-        lw = self.pivot.window_array(self.window + _cushion(self.pivot, self.window))
-        sides = [(w, _distances_to(w, lw) if w.size else w) for w in windows]
-        for check in self.scale_checks:
-            sw, d_side = sides[0] if check.side == 0 else sides[1]
-            k = check.scale
-            near = sw[d_side <= k]
-            l = check.member_point
-            if not self.pivot.contains(l) or l > self.window - k:
-                return False
-            if check.distance_to_candidate is None:
-                if near.size:
-                    return False
-                continue
-            d = int(_distances_to(np.asarray([l]), near)[0])
-            if d != check.distance_to_candidate or d <= k:
+        halves = ls.sparsify_split(pivot)
+        sides = tuple(ls.BlocksSet("nearer-side", (s,), halves, ("divergent",)) for s in (0, 1))
+        if (self.half1, self.half2) != halves or (self.side1, self.side2) != sides:
+            return False
+        lw, field, field1, field2 = ls._sparsify_fields(pivot, window)
+        if field1 is None or field2 is None:
+            return False
+        low = lw if lw[-1] >= 4096 else pivot.window_array(4096)
+        n = int(np.searchsorted(low, 4096, "right"))  # the pivot's points up to 4096
+        if any(sum(b - a for a, b in ls._sparsify_runs(n, s)) < 8 for s in (0, 1)):
+            return False
+        # a None distance reads 0 here, and ``empty`` marks it
+        rows = [(c.scale, c.side, c.member_point, c.distance_to_candidate or 0) for c in checks]
+        table = np.array(rows, dtype=None if rows else np.int64).reshape(-1, 4)
+        if table.dtype.kind != "i":  # a float, string or oversized entry
+            return False
+        scale, side, point, dist = table.T
+        empty = np.array([c.distance_to_candidate is None for c in checks], dtype=bool)
+        # two points of [0, window] lie at most window apart
+        if ((point < 0) | (point > window - scale) | (dist > window)).any() or field[point].any():
+            return False
+        for s, in_side in enumerate((field1 >= field2, field2 >= field1)):
+            mine = side == s
+            k, l, d = scale[mine], point[mine], dist[mine]
+            sw = np.flatnonzero(in_side)
+            # a far point at each end gives every lookup below a neighbour
+            pts = np.concatenate(([-ls._FAR], sw, [ls._FAR]))
+            near = np.concatenate(([ls._FAR], field[sw], [ls._FAR]))
+            # pts[lo:hi] are the side points strictly between l - d and l + d
+            lo = np.searchsorted(pts, l - d, "right")
+            hi = np.searchsorted(pts, l + d, "left")
+            # the least of near[lo:hi], or near[lo] where lo >= hi
+            inner = np.minimum.reduceat(near, np.column_stack((lo, hi)).ravel())[::2]
+            left = (pts[lo - 1] == l - d) & (near[lo - 1] <= k)
+            right = (pts[hi] == l + d) & (near[hi] <= k)
+            exact = (d > k) & (left | right) & ((lo >= hi) | (inner > k))
+            if not np.where(empty[mine], near.min() > k, exact).all():
                 return False
         return True
 

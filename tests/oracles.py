@@ -154,6 +154,51 @@ def scale_checks_reference(family, budget: int, window: int):
     return tuple(checks), None
 
 
+def revalidate_reference(cert) -> bool:
+    """``BunchObstruction.revalidate`` as it was before it checked the
+    certificate from the pivot's derived fields: each stored half is
+    probed point by point, each stored side's window is built and
+    measured against the pivot, and each scale check masks its
+    candidate from its whole side.  It trusts the stored halves, and
+    raises ``LineSetError`` when a check claims a distance to an empty
+    candidate.
+
+    Each stored side's window, and its distances to the pivot, are
+    built once and shared by all the scale checks of that side.
+    """
+    if not cert.complete or cert.window < 0:
+        return False
+    for half in (cert.half1, cert.half2):
+        probe = half.window(4096)
+        if any(not cert.pivot.contains(x) for x in probe):
+            return False
+        if len(probe) < 8:
+            return False
+    windows = (cert.side1.window_array(cert.window), cert.side2.window_array(cert.window))
+    # window_array(hi) holds points of [0, hi] only, so a table covers it
+    covered = np.zeros(cert.window + 1, dtype=bool)
+    covered[np.concatenate(windows)] = True
+    if not covered.all():
+        return False
+    lw = cert.pivot.window_array(cert.window + _cushion(cert.pivot, cert.window))
+    sides = [(w, _distances_to(w, lw) if w.size else w) for w in windows]
+    for check in cert.scale_checks:
+        sw, d_side = sides[0] if check.side == 0 else sides[1]
+        k = check.scale
+        near = sw[d_side <= k]
+        l = check.member_point
+        if not cert.pivot.contains(l) or l > cert.window - k:
+            return False
+        if check.distance_to_candidate is None:
+            if near.size:
+                return False
+            continue
+        d = int(_distances_to(np.asarray([l]), near)[0])
+        if d != check.distance_to_candidate or d <= k:
+            return False
+    return True
+
+
 def _members(key: int) -> list[int]:
     return [s for s in range(key.bit_length()) if key >> s & 1]
 

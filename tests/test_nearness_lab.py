@@ -22,7 +22,7 @@ from coarselab.structures import (
     topological_nearness,
 )
 
-from oracles import bunch_families, reference_sides, scale_checks_reference
+from oracles import bunch_families, reference_sides, revalidate_reference, scale_checks_reference
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -222,19 +222,75 @@ def _edit_half1(doc):
     doc["half1"] = doc["half2"]
 
 
+def _edit_half2(doc):
+    doc["half2"] = doc["half1"]
+
+
+def _edit_swap_sides(doc):
+    doc["side1"], doc["side2"] = doc["side2"], doc["side1"]
+
+
+def _edit_check(key, value, pick=lambda check: True):
+    """Set ``key`` of the first scale check that ``pick`` accepts to
+    ``value(check)``."""
+
+    def edit(doc):
+        check = next(c for c in doc["scale_checks"] if pick(c))
+        check[key] = value(check)
+
+    return edit
+
+
+def _claims_a_distance(check):
+    return check["distance_to_candidate"] is not None
+
+
 REJECTED_EDITS = {
     "pivot": _edit_pivot,
+    "half1": _edit_half1,
+    "half2": _edit_half2,
     "side1": _edit_side1,
+    "sides_swapped": _edit_swap_sides,
     **{f"member_point[{i}]": _edit_member_point(i) for i in (0, 3, 8, 11, -1)},
+    # the genuine certificate's window is 2000: at scale 1 the first
+    # point past the guard, 2000, is a pivot point
+    "member_point_past_guard": _edit_check(
+        "member_point", lambda c: 2000 - c["scale"] + 1, lambda c: c["scale"] == 1
+    ),
     "distance_to_candidate": _edit_distance,
+    "distance_to_candidate_none": _edit_check(
+        "distance_to_candidate", lambda c: None, _claims_a_distance
+    ),
+    "distance_to_candidate_scale": _edit_check(
+        "distance_to_candidate", lambda c: c["scale"], _claims_a_distance
+    ),
+    # read as an int64, it would be the genuine point
+    "member_point_fraction": _edit_check("member_point", lambda c: c["member_point"] + 0.5),
+    "side_flipped": _edit_check("side", lambda c: 1 - c["side"]),
+    "scale_shifted": _edit_check("scale", lambda c: c["scale"] + 1),
     "coverage": _edit_coverage,
     "drop_scale_check": _edit_drop_check,
+    # rejected before a set of 2 * 10**12 (scale, side) pairs is built
+    "scale_budget": lambda doc: doc.update(scale_budget=10**12),
 }
 TRUSTED_EDITS = {
     "family": _edit_family,
     "refiner_scale": _edit_refiner_scale,
-    "half1": _edit_half1,
 }
+
+
+def count_window_builds(monkeypatch) -> list[tuple[ls.LineSet, int]]:
+    """Record the set and bound of every ``PeriodicSet.window_array`` and
+    ``BlocksSet.window_array`` call from here on."""
+    builds = []
+    for cls in (ls.PeriodicSet, ls.BlocksSet):
+
+        def counted(self, hi, build=cls.window_array):
+            builds.append((self, hi))
+            return build(self, hi)
+
+        monkeypatch.setattr(cls, "window_array", counted)
+    return builds
 
 
 class TestRevalidate:
@@ -260,11 +316,129 @@ class TestRevalidate:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="revalidate trusts family, refiner_scale and the halves (ROADMAP item 5)",
+        reason="revalidate trusts family and refiner_scale (ROADMAP item 5)",
     )
     @pytest.mark.parametrize("kind", sorted(TRUSTED_EDITS))
     def test_trusted_field_edit_rejected(self, genuine, kind):
         assert not self.revalidate_edited(genuine, TRUSTED_EDITS[kind])
+
+    def test_distance_to_an_empty_candidate_rejected(self):
+        # Side 0 becomes the odds, all at distance 1 from the evens: its
+        # scale-0 candidate is empty, yet the stored check claims a
+        # distance to it.  The reference checker raised on this.
+        doc = bunch_obstruction([ls.evens(), ls.odds()], 8, 2000).to_json()
+        doc["side1"], doc["side2"] = ls.odds().to_json(), ls.naturals().to_json()
+        cert = BunchObstruction.from_json(doc)
+        with pytest.raises(ls.LineSetError, match="empty set"):
+            revalidate_reference(cert)
+        assert not cert.revalidate()
+
+    def test_window_over_the_cap_raises_before_any_build(self, monkeypatch):
+        doc = bunch_obstruction([ls.evens(), ls.odds()], 8, 2000).to_json()
+        doc["window"] = 10**12
+        cert = BunchObstruction.from_json(doc)
+        builds = count_window_builds(monkeypatch)
+        with pytest.raises(CapExceeded, match="exceeds the cap"):
+            cert.revalidate()
+        assert builds == []
+
+    def test_genuine_builds_no_side_window_and_the_pivot_window_once(self, monkeypatch):
+        cert = bunch_obstruction([ls.evens(), ls.odds()], 32, 10**4)
+        builds = count_window_builds(monkeypatch)
+        assert cert.revalidate()
+        assert not [s for s, _ in builds if isinstance(s, ls.BlocksSet)]
+        assert [s for s, hi in builds if hi >= cert.window] == [cert.pivot]
+
+
+def _residue_family(rng: random.Random, q: int) -> list[ls.LineSet]:
+    modulus = 2 * q
+    residues = rng.sample(range(modulus), rng.randint(2, min(4, modulus)))
+    return [ls.arithmetic(r, modulus) for r in residues]
+
+
+def _mixed_family(rng: random.Random) -> list[ls.LineSet]:
+    """A pivot of one to three progressions with a finite part and
+    removals, and one or two residue classes mod ``m`` disjoint from
+    it: the pivot's steps are multiples of ``m``, and its progressions
+    and finite points lie in the other classes."""
+    m = rng.randint(2, 8)
+    free = rng.sample(range(m), rng.randint(1, min(2, m - 1)))
+    taken = [r for r in range(m) if r not in free]
+    progs = [
+        (rng.choice(taken) + m * rng.randint(0, 3), m * rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3))
+    ]
+    fin = [n for n in rng.sample(range(41), 3) if n % m in taken]
+    body = sorted(set(fin).union(*(range(s, 41, p) for s, p in progs)))
+    removals = rng.sample(body, rng.randint(0, 2))
+    pivot = ls.PeriodicSet(tuple(fin), tuple(progs), tuple(removals))
+    return [pivot] + [ls.arithmetic(r + m * rng.randint(0, 2), m) for r in free]
+
+
+def _check_edits(rng: random.Random, checks: list[dict], period: int):
+    """Up to four seeded edits of the scale checks, each a list of ``(check
+    index, key, new value)``: a member point moved, a distance changed,
+    or the scales (sides) of two checks of one side (scale) swapped, the
+    edit of one field that keeps every (scale, side) pair."""
+    for _ in range(4):
+        i = rng.randrange(len(checks))
+        c = checks[i]
+        kind = rng.choice(["member_point", "distance", "scale", "side"])
+        if kind == "member_point":
+            yield [(i, kind, c[kind] + rng.choice([-2, -1, 1, 2, period, -period]))]
+        elif kind == "distance":
+            d, k = c["distance_to_candidate"], c["scale"]
+            new = [None, k, k + 1] + ([d - 1, d + 1] if d else [])
+            yield [(i, "distance_to_candidate", rng.choice([v for v in new if v != d]))]
+        else:
+            other = "side" if kind == "scale" else "scale"
+            partners = [j for j, o in enumerate(checks) if o[other] == c[other] and j != i]
+            if partners:  # at budget 0 no two checks share a side
+                j = rng.choice(partners)
+                yield [(i, kind, checks[j][kind]), (j, kind, c[kind])]
+
+
+def _reference_verdict(cert) -> bool:
+    """``revalidate_reference``, reading its ``LineSetError`` on a distance
+    claimed to an empty candidate as the rejection it stands for."""
+    try:
+        return revalidate_reference(cert)
+    except ls.LineSetError:
+        return False
+
+
+def test_revalidate_agrees_with_the_reference_checker():
+    """The derived-field checker against the stored-set reference, on
+    seeded certificates for residue families mod 2q (q = 1..8) and for
+    pivots with several progressions, finite parts and removals, at
+    windows from 4 to 1e4, and on single-field edits of their checks."""
+    rng = random.Random(20261019)
+    edit_verdicts = {True: 0, False: 0}
+    windows = []
+    compared = 0
+    while compared < 600:
+        q = rng.randint(1, 12)
+        family = _residue_family(rng, q) if q <= 8 else _mixed_family(rng)
+        window = rng.randint(4, 24) if rng.random() < 0.3 else round(10 ** rng.uniform(1.4, 4))
+        try:
+            cert = bunch_obstruction(family, rng.randint(0, min(16, window // 8)), window)
+        except ObstructionRejected:  # the window ran out: no certificate
+            continue
+        assert cert.revalidate() and _reference_verdict(cert)
+        windows.append(window)
+        doc = cert.to_json()
+        for edit in _check_edits(rng, doc["scale_checks"], family[0].period()):
+            forged = json.loads(json.dumps(doc))
+            for i, key, value in edit:
+                forged["scale_checks"][i][key] = value
+            edited = BunchObstruction.from_json(forged)
+            verdict = edited.revalidate()
+            assert verdict == _reference_verdict(edited), forged
+            edit_verdicts[verdict] += 1
+            compared += 1
+        compared += 1
+    assert min(edit_verdicts.values()) > 10  # both verdicts occur
+    assert min(windows) <= 12 and max(windows) > 5000
 
 
 def _seeded_families():
