@@ -29,6 +29,9 @@ from .structures import (
     ExplicitLSR,
     ExplicitNearness,
     ExplicitProximity,
+    _alike,
+    _axiom,
+    _first,
     _slots,
     bounded_mask,
     discrete_closure,
@@ -346,18 +349,9 @@ def n_e_of_l(universe: Universe, relation_rows: tuple[int, ...], l: Subset) -> F
     n = universe.size
     if len(relation_rows) != n:
         raise ValueError("relation rows must cover the universe")
-
-    def image(mask: int) -> int:
-        out = 0
-        for i in bo.bits(mask):
-            out |= relation_rows[i]
-        return out
-
-    members = []
-    for mask in range(1 << n):
-        if l.mask & ~image(mask) == 0 and mask & ~image(l.mask) == 0:
-            members.append(mask)
-    return Family.from_masks(universe, members)
+    image, masks = bo.fold_or(n, list(relation_rows)), np.arange(1 << n)
+    mutual = (l.mask & ~image == 0) & (masks & ~image[l.mask] == 0)
+    return Family.from_masks(universe, np.flatnonzero(mutual).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -553,35 +547,31 @@ class LineProximityRule:
         return TriVerdict.unknown(budget="exact-tier-only")
 
 
+def _disjointness(asr: ExplicitASR, bounded_mask: int) -> np.ndarray:
+    """disjoint[a, b]: no unbounded part of a is alike an unbounded part
+    of b (the empty set is bounded)."""
+    s = np.arange(asr.slots)
+    unbounded = (s > 0) & (bounded_mask >> s & 1 == 0)
+    parts = (s & ~s[:, None] == 0) & unbounded  # [a, l]: l is an unbounded part of a
+    return ~(parts @ _alike(asr) @ parts.T)
+
+
 def asymptotically_disjoint_explicit(asr: ExplicitASR, bounded_mask: int, a: int, b: int) -> bool:
     """No unbounded parts of the two sets are alike."""
-    for l1 in bo.submasks(a):
-        if l1 == 0 or bounded_mask >> l1 & 1:
-            continue
-        for l2 in bo.submasks(b):
-            if l2 == 0 or bounded_mask >> l2 & 1:
-                continue
-            if asr.alike(l1, l2):
-                return False
-    return True
+    return bool(_disjointness(asr, bounded_mask)[a, b])
 
 
 def is_asymptotically_normal(asr: ExplicitASR, bounded_mask: int) -> tuple[bool, dict | None]:
-    m = asr.slots
-    full = m - 1
-    for a in range(m):
-        for b in range(m):
-            if not asymptotically_disjoint_explicit(asr, bounded_mask, a, b):
-                continue
-            if not any(
-                asymptotically_disjoint_explicit(asr, bounded_mask, x1, a)
-                and asymptotically_disjoint_explicit(asr, bounded_mask, x2, b)
-                for x1 in range(m)
-                for x2 in range(m)
-                if x1 | x2 == full
-            ):
-                return False, {"a": a, "b": b}
-    return True, None
+    """Every asymptotically disjoint pair (a, b) has sets x1 and x2 that
+    cover the universe, x1 disjoint from a and x2 from b; the witness is
+    the first pair that has none."""
+    s = np.arange(asr.slots)
+    disjoint = _disjointness(asr, bounded_mask)
+    covers = (s[:, None] | s) == asr.slots - 1
+    bad = _first(disjoint & ~(disjoint.T @ covers @ disjoint))
+    if bad is None:
+        return True, None
+    return False, {"a": bad[0], "b": bad[1]}
 
 
 def proximity_of(
@@ -599,16 +589,12 @@ def proximity_of(
         normal, witness = is_asymptotically_normal(asr, bmask)
         if not normal:
             raise ValueError(f"backend is not asymptotically normal: {witness}")
-    cl = closure if closure is not None else discrete_closure(universe)
-
-    def near(a: int, b: int) -> bool:
-        if cl[a] & cl[b]:
-            return True
-        return not asymptotically_disjoint_explicit(asr, bmask, a, b)
-
-    return ExplicitProximity.from_predicate(universe, near)
+    cl = np.asarray(closure if closure is not None else discrete_closure(universe))
+    near = (cl[:, None] & cl != 0) | ~_disjointness(asr, bmask)
+    return ExplicitProximity(universe, tuple((near @ (1 << np.arange(asr.slots))).tolist()))
 
 
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # Regularization
 # ---------------------------------------------------------------------------
@@ -623,8 +609,6 @@ def sampled_line_axiom_report(
     is a member."""
     import random
 
-    from .structures import AxiomResult
-
     rng = random.Random(seed)
 
     def random_set() -> ls.LineSet:
@@ -638,13 +622,11 @@ def sampled_line_axiom_report(
     def random_family() -> list[ls.LineSet]:
         return [random_set() for _ in range(rng.randint(1, 3))]
 
-    singleton_bad = None
-    monotone_bad = None
-    product_bad = None
+    singleton_bad = monotone_bad = product_bad = None  # the last violation seen
     for _ in range(samples):
         fam = random_family()
         if not backend.member([fam[0]]).is_yes:
-            singleton_bad = fam[0]
+            singleton_bad = (fam[0],)
         v = backend.member(fam)
         if v.is_yes and len(fam) > 1:
             for drop in range(len(fam)):
@@ -656,29 +638,14 @@ def sampled_line_axiom_report(
             product = [ls.union(a, b) for a in fam for b in other]
             if not backend.member(product).is_yes:
                 product_bad = (fam, other)
+
+    def sets(family):
+        return [s.to_json() for s in family]
+
     results = (
-        AxiomResult(
-            "singletons",
-            singleton_bad is None,
-            {} if singleton_bad is None else {"set": singleton_bad.to_json()},
-        ),
-        AxiomResult(
-            "downward-monotone",
-            monotone_bad is None,
-            {}
-            if monotone_bad is None
-            else {"family": [s.to_json() for s in monotone_bad[0]]},
-        ),
-        AxiomResult(
-            "union-product",
-            product_bad is None,
-            {}
-            if product_bad is None
-            else {
-                "left": [s.to_json() for s in product_bad[0]],
-                "right": [s.to_json() for s in product_bad[1]],
-            },
-        ),
+        _axiom("singletons", singleton_bad, lambda s: {"set": s.to_json()}),
+        _axiom("downward-monotone", monotone_bad, lambda f, _: {"family": sets(f)}),
+        _axiom("union-product", product_bad, lambda f, g: {"left": sets(f), "right": sets(g)}),
     )
     return CheckReport(f"sampled line axioms ({samples} families)", results)
 

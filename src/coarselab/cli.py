@@ -23,6 +23,8 @@ from .dimension import asdim_explicit, asdim_topo_line_report, is_uniformly_boun
 from .documents import (
     InstanceDocument,
     SchemaError,
+    _family,
+    build_asr,
     build_backend,
     build_coarse,
     build_cover,
@@ -127,8 +129,6 @@ def cmd_check(args) -> int:
             if not regular:
                 report.payload.append({"structure": name, "ls_regular_witness": witness})
             if kind == "from-asr":
-                from .documents import build_asr
-
                 _report_check(report, name, check_asr_axioms(build_asr(doc, desc)))
         elif kind in ("metric-line", "topo-trace"):
             backend = build_backend(doc, desc)
@@ -214,9 +214,7 @@ def cmd_near(args) -> int:
         else:
             desc = doc.structure(q["structure"])
             backend = build_backend(doc, desc)
-            universe = doc.universe()
-            fam = universe.family([universe.subset(s) for s in q["family"]])
-            verdict = nearness_of(NearnessQuery(backend, fam))
+            verdict = nearness_of(NearnessQuery(backend, _family(doc.universe(), q["family"])))
         report.add(f"  query {i}: {verdict}")
         report.payload.append({"query": i, **verdict.to_json()})
         report.record(verdict.outcome)

@@ -27,6 +27,7 @@ from .backends import (
     TopoTraceBackend,
 )
 from .setcore import CapExceeded, Family, Subset, Universe
+from .structures import _alike, _first
 from .verdict import TriVerdict
 
 TRANSVERSAL_UNION_CAP = 12
@@ -204,21 +205,13 @@ def asr_uniformly_bounded(asr, members: Sequence[Subset]) -> tuple[bool, dict | 
         for i in bo.bits(s.mask):
             rows[i] |= s.mask
 
-    def image(mask: int) -> int:
-        out = 0
-        for i in bo.bits(mask):
-            out |= rows[i]
-        return out
-
-    m = 1 << n
-    for a in range(m):
-        for b in range(m):
-            if a & ~image(b) == 0 and b & ~image(a) == 0 and not asr.alike(a, b):
-                return False, {
-                    "left": str(Subset(universe, a)),
-                    "right": str(Subset(universe, b)),
-                }
-    return True, None
+    image, masks = bo.fold_or(n, rows), np.arange(1 << n)
+    inside = masks & ~image[:, None] == 0  # [b, a]: a lies inside the image of b
+    bad = _first(inside.T & inside & ~_alike(asr))
+    if bad is None:
+        return True, None
+    left, right = (str(Subset(universe, x)) for x in bad)
+    return False, {"left": left, "right": right}
 
 
 # ---------------------------------------------------------------------------

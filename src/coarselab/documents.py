@@ -24,7 +24,7 @@ from .backends import (
 )
 from .dimension import Cover
 from .maps import ExplicitMap, LineMap
-from .setcore import Family, Universe
+from .setcore import Family, Subset, Universe
 from .structures import (
     ExplicitASR,
     ExplicitCoarse,
@@ -143,12 +143,19 @@ def _check_integers_only(node: Any) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _subset(universe: Universe, labels: list[str]):
-    return universe.subset(labels)
+def _list(value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{name} must be a list, not {value!r}")
+    return value
+
+
+def _subset(universe: Universe, labels: list[str]) -> Subset:
+    """A list of element labels; a string is not read one character at a time."""
+    return universe.subset(_list(labels, "a set of labels"))
 
 
 def _family(universe: Universe, subsets: list[list[str]]) -> Family:
-    return universe.family([_subset(universe, s) for s in subsets])
+    return universe.family([_subset(universe, s) for s in _list(subsets, "a family")])
 
 
 def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
@@ -159,8 +166,9 @@ def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
         return ExplicitBackend(ExplicitLSR.from_generators(universe, gens))
     if kind == "partition":
         universe = doc.universe()
+        blocks = [_subset(universe, b).mask for b in _list(desc["blocks"], "partition blocks")]
         try:
-            return PartitionCoarseBackend.from_labels(universe, desc["blocks"])
+            return PartitionCoarseBackend(universe, blocks)
         except ValueError as e:  # blocks that miss or repeat an element
             raise SchemaError(f"partition: {e}") from None
     if kind == "from-asr":

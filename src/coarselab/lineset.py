@@ -114,11 +114,6 @@ class LineSet:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        head = ", ".join(str(n) for n in self.window_array(10**6)[:8].tolist())
-        tail = "" if self.is_finite() else ", ..."
-        return f"{type(self).__name__}[{head}{tail}]"
-
 
 @dataclass(frozen=True)
 class FiniteSet(LineSet):

@@ -21,7 +21,7 @@ from . import _bitops as bo
 from . import lineset as ls
 from .backends import FiniteBackend, MetricLineBackend
 from .setcore import Family, Subset
-from .structures import bounded_mask
+from .structures import _first, bounded_mask
 from .verdict import TriVerdict
 
 SAMPLE_WINDOW = 2000
@@ -220,27 +220,24 @@ def _is_lsr_map_explicit(f: ExplicitMap) -> TriVerdict:
     dom, cod = f.domain, f.codomain
     dom_table, cod_table = dom.member_table(), cod.member_table()
     img = f.image_table()
-    bad = np.flatnonzero(dom_table & ~cod_table[img])
-    if bad.size:
-        key = int(bad[0])
+    bad = _first(dom_table & ~cod_table[img])
+    if bad is not None:
         return TriVerdict.no(
             reason="image-not-member",
-            family=str(Family.from_mask_key(dom.universe, key)),
-            image=str(Family.from_mask_key(cod.universe, int(img[key]))),
+            family=str(Family.from_mask_key(dom.universe, bad[0])),
+            image=str(Family.from_mask_key(cod.universe, int(img[bad[0]]))),
         )
     bounded_cod = bounded_mask(cod_table, cod.universe.size)
     bounded_dom = bounded_mask(dom_table, dom.universe.size)
-    m_cod = 1 << cod.universe.size
-    for bmask in range(m_cod):
-        if not bounded_cod >> bmask & 1:
-            continue
-        pre = f.preimage_mask(bmask)
-        if not bounded_dom >> pre & 1:
-            return TriVerdict.no(
-                reason="unbounded-preimage",
-                bounded_set=str(Subset(cod.universe, bmask)),
-                preimage=str(Subset(dom.universe, pre)),
-            )
+    sets = np.arange(1 << cod.universe.size)
+    pre = np.array([f.preimage_mask(b) for b in sets.tolist()])
+    bad = _first((bounded_cod >> sets & 1 == 1) & (bounded_dom >> pre & 1 == 0))
+    if bad is not None:
+        return TriVerdict.no(
+            reason="unbounded-preimage",
+            bounded_set=str(Subset(cod.universe, bad[0])),
+            preimage=str(Subset(dom.universe, int(pre[bad[0]]))),
+        )
     return TriVerdict.yes(families=int(dom_table.sum()))
 
 
@@ -320,12 +317,10 @@ def _check_absorption_explicit(
     with the original is not."""
     table = backend.member_table()
     comp_img = comp.image_table()
-    cond = table[comp_img] & ~table[comp_img | np.arange(table.size)]
-    bad = np.nonzero(cond)[0]
-    if bad.size == 0:
+    bad = _first(table[comp_img] & ~table[comp_img | np.arange(table.size)])
+    if bad is None:
         return None
-    key = int(bad[0])
-    return key, int(comp_img[key]), {}
+    return bad[0], int(comp_img[bad[0]]), {}
 
 
 def _is_equivalence_explicit(f: ExplicitMap, g: ExplicitMap) -> TriVerdict:

@@ -66,7 +66,14 @@ import numpy as np
 from . import lineset as ls
 from .lineset import _distances_to
 from .setcore import CapExceeded, Family
-from .structures import ExplicitNearness, ExplicitProximity, enumerate_clusters, is_bunch
+from .structures import (
+    ExplicitNearness,
+    ExplicitProximity,
+    _first,
+    _members,
+    enumerate_bunches,
+    enumerate_clusters,
+)
 from .verdict import TriVerdict
 
 
@@ -192,7 +199,10 @@ class BunchObstruction:
             return False
         # a None distance reads 0 here, and ``empty`` marks it
         rows = [(c.scale, c.side, c.member_point, c.distance_to_candidate or 0) for c in checks]
-        table = np.array(rows, dtype=None if rows else np.int64).reshape(-1, 4)
+        try:
+            table = np.array(rows, dtype=None if rows else np.int64).reshape(-1, 4)
+        except ValueError:  # a list among the fields: the rows are ragged
+            return False
         if table.dtype.kind != "i":  # a float, string or oversized entry
             return False
         scale, side, point, dist = table.T
@@ -340,18 +350,17 @@ def bunch_obstruction(
 
 
 def bunch_exists_explicit(a: Family, n: ExplicitNearness) -> TriVerdict:
-    """Exhaustive search for a bunch containing the family."""
+    """Exhaustive search for a bunch containing the family: the least
+    bunch key holding it, or No with the number of keys holding it."""
     if not n.is_near(a):
         raise ValueError("family is not near; extension is ill-posed")
     want = a.mask_key()
-    searched = 0
-    for key in range(1 << n.slots):
-        if key & want != want:
-            continue
-        searched += 1
-        if is_bunch(key, n):
-            return TriVerdict.yes(bunch=str(Family.from_mask_key(a.universe, key)), key=key)
-    return TriVerdict.no(searched=searched)
+    bunches = np.array(enumerate_bunches(n), dtype=np.int64)
+    hit = _first(bunches & want == want)
+    if hit is None:
+        return TriVerdict.no(searched=1 << (n.slots - want.bit_count()))
+    key = int(bunches[hit[0]])
+    return TriVerdict.yes(bunch=str(Family.from_mask_key(a.universe, key)), key=key)
 
 
 @dataclass(frozen=True)
@@ -363,16 +372,12 @@ class ClusterContrast:
 
 def cluster_extension_contrast(p: ExplicitProximity) -> ClusterContrast:
     """Every near pair of a small proximity extends to a cluster."""
-    clusters = enumerate_clusters(p)
-    failures = []
-    checked = 0
-    for a in range(p.slots):
-        for b in range(a, p.slots):
-            if not p.near(a, b):
-                continue
-            checked += 1
-            if not any(c >> a & 1 and c >> b & 1 for c in clusters):
-                failures.append(
-                    (str(Family.from_mask_key(p.universe, 1 << a)), str(Family.from_mask_key(p.universe, 1 << b)))
-                )
-    return ClusterContrast(checked, not failures, tuple(failures))
+    m = p.slots
+    held = _members(enumerate_clusters(p), m)
+    s = np.arange(m)
+    pairs = _members(p.rows, m) & (s[:, None] <= s)  # near pairs a <= b
+    missed = np.argwhere(pairs & ~(held.T @ held)).tolist()
+    failures = tuple(
+        tuple(str(Family.from_mask_key(p.universe, 1 << x)) for x in pair) for pair in missed
+    )
+    return ClusterContrast(int(pairs.sum()), not failures, failures)

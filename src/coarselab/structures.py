@@ -7,6 +7,16 @@ relation families closed under composition (ExplicitCoarse), and
 nearness relations on subset pairs (ExplicitProximity).  Checkers
 return per-axiom verdicts with concrete violating witnesses.
 
+An exhaustive check is one boolean table over the slot tuples its axiom
+quantifies over, True where the axiom fails; ``_first`` reads off the
+first violation in ascending slot-tuple (row-major) order, which is the
+order of the nested loops the table replaces, and ``_axiom`` turns it
+into a pass or a failure with its witness.  Tables stay within 16^4
+entries, since the checkers take at most ``CHECKER_UNIVERSE_CAP``
+points.  One witness is not in slot order: the downward-closure scan of
+``check_lsr_axioms`` takes the member keys in the iteration order of the
+collection's key set.
+
 The pair-quantified axioms are checked through two sound reductions
 that keep |X| = 4 sweeps exhaustive-equivalent yet cheap:
 
@@ -70,6 +80,28 @@ class CheckReport:
         lines = [f"[{self.subject}]"]
         lines += [f"  {r}" for r in self.results]
         return "\n".join(lines)
+
+
+def _first(flag) -> tuple[int, ...] | None:
+    """Index tuple of the first True entry of a boolean table in row-major
+    order, or None when there is none."""
+    flag = np.asarray(flag)
+    if flag.size:
+        i = int(flag.argmax())
+        if flag.flat[i]:
+            return tuple(int(x) for x in np.unravel_index(i, flag.shape))
+    return None
+
+
+def _axiom(name: str, bad: tuple | None, witness: Callable[..., dict]) -> AxiomResult:
+    """Pass when ``bad`` is None, else fail with ``witness(*bad)``."""
+    return AxiomResult(name, True) if bad is None else AxiomResult(name, False, witness(*bad))
+
+
+def _members(keys: np.ndarray, m: int) -> np.ndarray:
+    """has[i, s]: bit s of keys[i] is set (family keys over subset slots,
+    or relation rows over points)."""
+    return np.asarray(keys, dtype=np.int64)[:, None] >> np.arange(m) & 1 == 1
 
 
 def _slots(universe: Universe) -> int:
@@ -142,9 +174,12 @@ class ExplicitLSR:
         for key in sorted(self.keys):
             yield Family.from_mask_key(self.universe, key)
 
+    @functools.cached_property
+    def _maximal(self) -> list[int]:
+        return np.flatnonzero(bo.maximal_keys(self.table(), self.slots)).tolist()
+
     def maximal_keys(self) -> list[int]:
-        flag = bo.maximal_keys(self.table(), self.slots)
-        return [int(k) for k in np.nonzero(flag)[0]]
+        return list(self._maximal)
 
     def bounded_mask(self) -> int:
         return bounded_mask(self.table(), self.universe.size)
@@ -174,79 +209,61 @@ def _repack(mask: int, within: int) -> int:
 
 def check_lsr_axioms(c: ExplicitLSR) -> CheckReport:
     """Per-axiom verdicts: singletons, downward closure, intersecting
-    unions, and closure under the pairwise-union product."""
+    unions, and closure under the pairwise-union product.  The
+    downward-closure witness is the first member key, in the iteration
+    order of ``c.keys``, and its first slot whose removal leaves the
+    collection."""
     u, m = c.universe, c.slots
-    results = []
-
-    missing = [s for s in range(m) if (1 << s) not in c.keys]
-    results.append(
-        AxiomResult("singletons", not missing)
-        if not missing
-        else AxiomResult("singletons", False, {"missing": _subset_str(u, missing[0])})
-    )
-
     table = c.table()
-    down_bad = None
-    if not _is_down_closed(table, m):
-        for key in c.keys:
-            for t in bo.bits(key):
-                if key ^ (1 << t) not in c.keys:
-                    down_bad = (key, key ^ (1 << t))
-                    break
-            if down_bad:
-                break
-    results.append(
-        AxiomResult("downward-closure", down_bad is None)
-        if down_bad is None
-        else AxiomResult(
-            "downward-closure",
-            False,
-            {
-                "family": _family_str(u, down_bad[0]),
-                "missing_subfamily": _family_str(u, down_bad[1]),
-            },
+    fam = functools.partial(_family_str, u)
+    results = [
+        _axiom(
+            "singletons",
+            _first(~table[1 << np.arange(m)]),
+            lambda s: {"missing": _subset_str(u, s)},
         )
-    )
-    downward_closed = down_bad is None
+    ]
 
-    if downward_closed:
-        tops = np.flatnonzero(bo.maximal_keys(table, m))
+    if _is_down_closed(table, m):
+        gap = None
+        tops = np.array(c.maximal_keys(), dtype=np.int64)
     else:
         if len(c.keys) > 4096:
             raise CapExceeded("closure axioms need a downward-closed collection at this size")
+        keys = np.fromiter(c.keys, dtype=np.int64, count=len(c.keys))
+        gap = _first(_members(keys, m) & ~table[keys[:, None] ^ 1 << np.arange(m)])
         tops = np.flatnonzero(table)
+    results.append(
+        _axiom(
+            "downward-closure",
+            gap,
+            lambda i, t: {
+                "family": fam(int(keys[i])),
+                "missing_subfamily": fam(int(keys[i]) ^ 1 << t),
+            },
+        )
+    )
 
     def union_gap(i0, i1):
         f, g = tops[i0:i1, None], tops[None, i0:]
         return (f & g != 0) & ~table[f | g]
 
-    bad = _first_pair(tops, union_gap)
     results.append(
-        AxiomResult("intersecting-union", bad is None)
-        if bad is None
-        else AxiomResult(
+        _axiom(
             "intersecting-union",
-            False,
-            {
-                "left": _family_str(u, bad[0]),
-                "right": _family_str(u, bad[1]),
-                "missing_union": _family_str(u, bad[0] | bad[1]),
-            },
+            _first_pair(tops, union_gap),
+            lambda f, g: {"left": fam(f), "right": fam(g), "missing_union": fam(f | g)},
         )
     )
-
     img = bo.vee_images(tops, m)
-    bad = _first_pair(tops, lambda i0, i1: ~table[bo.vee_block(tops[i0:i1], img[:, i0:])])
     results.append(
-        AxiomResult("union-product", bad is None)
-        if bad is None
-        else AxiomResult(
+        _axiom(
             "union-product",
-            False,
-            {
-                "left": _family_str(u, bad[0]),
-                "right": _family_str(u, bad[1]),
-                "missing_product": _family_str(u, bo.vee_key(*bad)),
+            _first_pair(tops, lambda i0, i1: ~table[bo.vee_block(tops[i0:i1], img[:, i0:])]),
+            lambda f, g: {
+                "left": fam(f),
+                "right": fam(g),
+                "missing_product": fam(bo.vee_key(f, g)),
             },
         )
     )
@@ -258,11 +275,9 @@ def _first_pair(keys: np.ndarray, bad) -> tuple[int, int] | None:
     order that ``bad`` flags; bad(i0, i1) flags the row block keys[i0:i1]
     against the columns keys[i0:]."""
     for i0, i1, upper in bo.pair_blocks(len(keys)):
-        hit = upper & bad(i0, i1)
-        first = int(hit.argmax())
-        if hit.flat[first]:
-            r, c = divmod(first, hit.shape[1])
-            return int(keys[i0 + r]), int(keys[i0 + c])
+        hit = _first(upper & bad(i0, i1))
+        if hit is not None:
+            return int(keys[i0 + hit[0]]), int(keys[i0 + hit[1]])
     return None
 
 
@@ -301,9 +316,9 @@ def is_ls_regular(c: ExplicitLSR) -> tuple[bool, dict | None]:
         for i0 in range(0, n, rows):
             covers = (fams[:, None, None] & ~bo.vee_block(tops[i0 : i0 + rows], img)) == 0
             held |= member[i0 : i0 + rows].T @ (covers @ member) > 0
-        bad = (fams[:, None] >> split_a & 1 == 1) & ~held[:, split_1, split_2]
-        if bad.any():
-            f, s = divmod(int(bad.argmax()), bad.shape[1])
+        bad = _first((fams[:, None] >> split_a & 1 == 1) & ~held[:, split_1, split_2])
+        if bad is not None:
+            f, s = bad
             return False, {
                 "family": _family_str(u, int(fams[f])),
                 "part1": _subset_str(u, int(split_1[s])),
@@ -400,21 +415,23 @@ def discrete_closure(universe: Universe) -> tuple[int, ...]:
 
 def validate_closure_table(universe: Universe, table: tuple[int, ...]) -> None:
     """A closure operator must fix the empty set, be extensive,
-    idempotent, and distribute over unions."""
+    idempotent, and distribute over unions.  Each error names the first
+    failing subset, or pair of subsets."""
     m = 1 << universe.size
     if len(table) != m:
         raise ValueError("closure table must cover every subset")
     if table[0] != 0:
         raise ValueError("closure must fix the empty set")
-    for a in range(m):
-        if a & ~table[a]:
-            raise ValueError(f"closure must contain its argument: {a}")
-        if table[table[a]] != table[a]:
+    t, s = np.asarray(table), np.arange(m)
+    bad = _first(np.column_stack((s & ~t != 0, t[t] != t)))
+    if bad is not None:
+        a, idempotence = bad
+        if idempotence:
             raise ValueError(f"closure must be idempotent at {a}")
-    for a in range(m):
-        for b in range(m):
-            if table[a | b] != table[a] | table[b]:
-                raise ValueError(f"closure must distribute over unions: {a}, {b}")
+        raise ValueError(f"closure must contain its argument: {a}")
+    bad = _first(t[s[:, None] | s] != t[:, None] | t)
+    if bad is not None:
+        raise ValueError("closure must distribute over unions: {}, {}".format(*bad))
 
 
 class ExplicitNearness:
@@ -474,52 +491,19 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
     non-member pairs."""
     u, m = n.universe, n.slots
     table = n.table()
-    results = []
-
-    # axiom: families with a common point are near (empty family included,
+    fam = functools.partial(_family_str, u)
+    # families with a common point are near (the empty family included,
     # its intersection being the whole universe)
     inter = bo.fold_and(m, list(range(m)), (1 << u.size) - 1)
-    must = inter != 0
-    bad = np.nonzero(must & ~table)[0]
-    results.append(
-        AxiomResult("common-point", bad.size == 0)
-        if bad.size == 0
-        else AxiomResult("common-point", False, {"family": _family_str(u, int(bad[0]))})
-    )
-
-    # axiom: growing every member keeps the family near
+    common = _first((inter != 0) & ~table)
+    # growing every member keeps a near family near
     upset = upset_table(m)
-    nonmember_sub = bo.or_has_submask(~table, m)
-    bad_growth = None
-    for key in np.nonzero(table)[0]:
-        if nonmember_sub[upset[key]]:
-            grown = _find_flagged_submask(~table, int(upset[key]), m)
-            bad_growth = (int(key), grown)
-            break
-    results.append(
-        AxiomResult("growth", bad_growth is None)
-        if bad_growth is None
-        else AxiomResult(
-            "growth",
-            False,
-            {
-                "near": _family_str(u, bad_growth[0]),
-                "grown_not_near": _family_str(u, bad_growth[1]),
-            },
-        )
-    )
+    growth = _first(table & bo.or_has_submask(~table, m)[upset])
+    # no near family holds the empty set, which the odd keys hold
+    empty = _first(table[1::2])
 
-    # axiom: no near family holds the empty set
-    holds = [k for k in np.nonzero(table)[0] if int(k) & 1]
-    results.append(
-        AxiomResult("no-empty-member", not holds)
-        if not holds
-        else AxiomResult("no-empty-member", False, {"family": _family_str(u, int(holds[0]))})
-    )
-
-    # axiom: the pairwise-union product of two non-near families is not near
-    down_closed = bad_growth is None and _is_down_closed(table, m)
-    if down_closed:
+    # the pairwise-union product of two non-near families is not near
+    if growth is None and _is_down_closed(table, m):
         pool = np.flatnonzero(bo.minimal_keys(~table, m))
     else:
         if (1 << m) > 512:
@@ -528,21 +512,26 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
             )
         pool = np.flatnonzero(~table)
     img = bo.vee_images(pool, m)
-    bad_pair = _first_pair(pool, lambda i0, i1: table[bo.vee_block(pool[i0:i1], img[:, i0:])])
-    results.append(
-        AxiomResult("product", bad_pair is None)
-        if bad_pair is None
-        else AxiomResult(
-            "product",
-            False,
-            {
-                "left": _family_str(u, bad_pair[0]),
-                "right": _family_str(u, bad_pair[1]),
-                "near_product": _family_str(u, bo.vee_key(*bad_pair)),
+    product = _first_pair(pool, lambda i0, i1: table[bo.vee_block(pool[i0:i1], img[:, i0:])])
+
+    results = (
+        _axiom("common-point", common, lambda k: {"family": fam(k)}),
+        _axiom(
+            "growth",
+            growth,
+            lambda k: {
+                "near": fam(k),
+                "grown_not_near": fam(_find_flagged_submask(~table, int(upset[k]), m)),
             },
-        )
+        ),
+        _axiom("no-empty-member", empty, lambda i: {"family": fam(2 * i + 1)}),
+        _axiom(
+            "product",
+            product,
+            lambda f, g: {"left": fam(f), "right": fam(g), "near_product": fam(bo.vee_key(f, g))},
+        ),
     )
-    return CheckReport("nearness axioms", tuple(results))
+    return CheckReport("nearness axioms", results)
 
 
 def upset_table(m: int) -> np.ndarray:
@@ -578,10 +567,10 @@ def is_h_nearness(n: ExplicitNearness) -> tuple[bool, dict | None]:
     """Does nearness of the closure family force nearness of the family?"""
     table = n.table()
     closure_family = bo.fold_or(n.slots, [1 << c for c in n.closure])
-    bad = np.flatnonzero(table[closure_family] & ~table)
-    if bad.size == 0:
+    bad = _first(table[closure_family] & ~table)
+    if bad is None:
         return True, None
-    key = int(bad[0])
+    key = bad[0]
     return False, {
         "family": _family_str(n.universe, key),
         "closure_family": _family_str(n.universe, int(closure_family[key])),
@@ -595,30 +584,34 @@ def is_h_nearness(n: ExplicitNearness) -> tuple[bool, dict | None]:
 
 def is_bunch(candidate_key: int, n: ExplicitNearness) -> bool:
     """Nonempty near collection, union-prime, and closed under de-closure."""
-    if candidate_key == 0:
-        return False
-    if not n.is_near_key(candidate_key):
-        return False
-    for a in range(n.slots):
-        for b in range(n.slots):
-            in_union = candidate_key >> (a | b) & 1
-            in_parts = (candidate_key >> a & 1) or (candidate_key >> b & 1)
-            if bool(in_union) != bool(in_parts):
-                return False
-    for a in range(n.slots):
-        if candidate_key >> n.closure[a] & 1 and not candidate_key >> a & 1:
-            return False
-    return True
+    return bool(_bunches(np.array([candidate_key]), n)[0])
 
 
 def enumerate_bunches(n: ExplicitNearness) -> list[int]:
-    return [key for key in _up_closed_keys(n.slots) if is_bunch(key, n)]
+    keys = _up_closed_keys(n.slots)
+    return keys[_bunches(keys, n)].tolist()
 
 
-def _up_closed_keys(m: int) -> list[int]:
-    """Keys of up-closed families (cheap precheck for union-prime collections)."""
+def _bunches(keys: np.ndarray, n: ExplicitNearness) -> np.ndarray:
+    """Which of the family keys are bunches of ``n``."""
+    has = _members(keys, n.slots)
+    # a subset whose closure is a member is a member
+    declosed = (has | ~has[:, np.asarray(n.closure)]).all(axis=1)
+    return (keys != 0) & n.table()[keys] & _union_prime(has) & declosed
+
+
+def _union_prime(has: np.ndarray) -> np.ndarray:
+    """Per row of a membership matrix: the union of two subsets is a
+    member exactly when one of them is."""
+    s = np.arange(has.shape[1])
+    return (has[:, s[:, None] | s] == has[:, :, None] | has[:, None, :]).all(axis=(1, 2))
+
+
+def _up_closed_keys(m: int) -> np.ndarray:
+    """Keys of up-closed families, ascending; union-prime families are
+    up-closed, so they hold every bunch and every cluster."""
     keys = np.arange(1 << m)
-    return np.flatnonzero((upset_table(m) & ~keys) == 0).tolist()
+    return np.flatnonzero((upset_table(m) & ~keys) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -673,66 +666,43 @@ class ExplicitASR:
         return hash((self.universe, tuple(self.blocks())))
 
 
+def _alike(l: ExplicitASR) -> np.ndarray:
+    """alike[a, b]: the subsets a and b are in one block."""
+    ids = np.asarray(l.block_ids)
+    return ids[:, None] == ids
+
+
 def check_asr_axioms(l: ExplicitASR) -> CheckReport:
-    """Union compatibility and decomposition along nonempty parts."""
+    """Union compatibility over every two alike pairs a1 ~ b1, a2 ~ b2,
+    and decomposition over every nonempty a1, a2 and b."""
     u, m = l.universe, l.slots
-    results = []
-
-    bad = None
-    pairs = [(a, b) for a in range(m) for b in range(m) if l.alike(a, b)]
-    for (a1, b1) in pairs:
-        for (a2, b2) in pairs:
-            if not l.alike(a1 | a2, b1 | b2):
-                bad = (a1, b1, a2, b2)
-                break
-        if bad:
-            break
-    results.append(
-        AxiomResult("union-compatible", bad is None)
-        if bad is None
-        else AxiomResult(
+    sub = functools.partial(_subset_str, u)
+    alike, s = _alike(l), np.arange(m)
+    union = s[:, None] | s
+    # [a1, b1, a2, b2]: a1 ~ b1 and a2 ~ b2, but a1 | a2 and b1 | b2 are not alike
+    unions_apart = ~alike[union[:, None, :, None], union[None, :, None, :]]
+    # [b1, b2, b]: b is the union of the nonempty parts b1 and b2
+    parts = (union[:, :, None] == s) & (s[:, None, None] > 0) & (s[:, None] > 0)
+    # [a1, a2, b]: b splits into parts alike a1 and a2
+    splits = np.einsum("ix,jy,xyb->ijb", alike, alike, parts)
+    nonempty = (s[:, None, None] > 0) & (s[:, None] > 0) & (s > 0)
+    results = (
+        _axiom(
             "union-compatible",
-            False,
-            {
-                "pair1": f"{_subset_str(u, bad[0])}~{_subset_str(u, bad[1])}",
-                "pair2": f"{_subset_str(u, bad[2])}~{_subset_str(u, bad[3])}",
-                "unions": f"{_subset_str(u, bad[0] | bad[2])} vs {_subset_str(u, bad[1] | bad[3])}",
+            _first(alike[:, :, None, None] & alike & unions_apart),
+            lambda a1, b1, a2, b2: {
+                "pair1": f"{sub(a1)}~{sub(b1)}",
+                "pair2": f"{sub(a2)}~{sub(b2)}",
+                "unions": f"{sub(a1 | a2)} vs {sub(b1 | b2)}",
             },
-        )
-    )
-
-    bad = None
-    for a1 in range(1, m):
-        for a2 in range(1, m):
-            for b in range(1, m):
-                if not l.alike(a1 | a2, b):
-                    continue
-                if not any(
-                    b1 and b2 and l.alike(a1, b1) and l.alike(a2, b2)
-                    for b1 in bo.submasks(b)
-                    for b2 in bo.submasks(b)
-                    if b1 | b2 == b
-                ):
-                    bad = (a1, a2, b)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        AxiomResult("decomposition", bad is None)
-        if bad is None
-        else AxiomResult(
+        ),
+        _axiom(
             "decomposition",
-            False,
-            {
-                "part1": _subset_str(u, bad[0]),
-                "part2": _subset_str(u, bad[1]),
-                "alike_set": _subset_str(u, bad[2]),
-            },
-        )
+            _first(nonempty & alike[union] & ~splits),
+            lambda a1, a2, b: {"part1": sub(a1), "part2": sub(a2), "alike_set": sub(b)},
+        ),
     )
-    return CheckReport("subset-equivalence axioms", tuple(results))
+    return CheckReport("subset-equivalence axioms", results)
 
 
 # ---------------------------------------------------------------------------
@@ -797,50 +767,23 @@ def check_coarse(c: ExplicitCoarse) -> tuple[tuple[int, ...], CheckReport]:
     """Compute the maximal relation and confirm the family is its down-set."""
     n = c.universe.size
     m_rel = c.closure_max()
-    results = []
-
-    refl = all(m_rel[i] >> i & 1 for i in range(n))
-    results.append(AxiomResult("reflexive", refl, {} if refl else {"missing": "diagonal"}))
-
-    sym_bad = next(
-        ((i, j) for i in range(n) for j in bo.bits(m_rel[i]) if not m_rel[j] >> i & 1),
-        None,
-    )
-    results.append(
-        AxiomResult("symmetric", sym_bad is None)
-        if sym_bad is None
-        else AxiomResult("symmetric", False, {"pair": str(sym_bad)})
-    )
-
-    trans_bad = None
-    for i in range(n):
-        reach = 0
-        for z in bo.bits(m_rel[i]):
-            reach |= m_rel[z]
-        if reach & ~m_rel[i]:
-            trans_bad = i
-            break
-    results.append(
-        AxiomResult("transitive", trans_bad is None)
-        if trans_bad is None
-        else AxiomResult("transitive", False, {"element": c.universe.elements[trans_bad]})
-    )
-
-    gen_bad = next(
-        (
-            (gi, i)
-            for gi, rel in enumerate(c.generators)
-            for i in range(n)
-            if rel[i] & ~m_rel[i]
+    rel = _members(m_rel, n)
+    gens = np.array(c.generators, dtype=np.int64).reshape(-1, n)
+    results = (
+        _axiom("reflexive", _first(~rel.diagonal()), lambda i: {"missing": "diagonal"}),
+        _axiom("symmetric", _first(rel & ~rel.T), lambda i, j: {"pair": str((i, j))}),
+        _axiom(
+            "transitive",
+            _first((rel @ rel & ~rel).any(axis=1)),
+            lambda i: {"element": c.universe.elements[i]},
         ),
-        None,
+        _axiom(
+            "generators-below-max",
+            _first(gens & ~np.array(m_rel) != 0),
+            lambda g, i: {"generator": str((g, i))},
+        ),
     )
-    results.append(
-        AxiomResult("generators-below-max", gen_bad is None)
-        if gen_bad is None
-        else AxiomResult("generators-below-max", False, {"generator": str(gen_bad)})
-    )
-    return m_rel, CheckReport("coarse relation closure", tuple(results))
+    return m_rel, CheckReport("coarse relation closure", results)
 
 
 def partition_from_relation(universe: Universe, rows: tuple[int, ...]) -> list[int]:
@@ -890,105 +833,49 @@ class ExplicitProximity:
 
 
 def check_proximity_axioms(p: ExplicitProximity) -> CheckReport:
+    """Symmetry, union distributivity, empty arguments and separating
+    sets, on the table near[a, b] of every pair of subsets."""
     u, m = p.universe, p.slots
-    results = []
+    sub = functools.partial(_subset_str, u)
+    near, s = _members(p.rows, m), np.arange(m)
+    # [a, b, c]: near(a, b | c) differs from near(a, b) or near(a, c)
+    undistributed = near[:, s[:, None] | s] != near[:, :, None] | near[:, None, :]
+    # [a, b]: some set d is not near a while its complement is not near b
+    separated = ~near @ ~near[(m - 1) ^ s]
 
-    bad = next(
-        ((a, b) for a in range(m) for b in range(m) if p.near(a, b) != p.near(b, a)),
-        None,
-    )
-    results.append(
-        AxiomResult("symmetric", bad is None)
-        if bad is None
-        else AxiomResult("symmetric", False, {"pair": _pair_str(u, bad)})
-    )
+    def pair(a, b):
+        return {"pair": f"{sub(a)}, {sub(b)}"}
 
-    bad = None
-    for a in range(m):
-        for b in range(m):
-            for cmask in range(m):
-                if p.near(a, b | cmask) != (p.near(a, b) or p.near(a, cmask)):
-                    bad = (a, b, cmask)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        AxiomResult("union-distributive", bad is None)
-        if bad is None
-        else AxiomResult(
+    results = (
+        _axiom("symmetric", _first(near != near.T), pair),
+        _axiom(
             "union-distributive",
-            False,
-            {"triple": f"{_subset_str(u, bad[0])}, {_subset_str(u, bad[1])}, {_subset_str(u, bad[2])}"},
-        )
+            _first(undistributed),
+            lambda a, b, c: {"triple": f"{sub(a)}, {sub(b)}, {sub(c)}"},
+        ),
+        _axiom("nonempty-arguments", _first(near & ((s[:, None] == 0) | (s == 0))), pair),
+        _axiom("separating-set", _first(~near & ~separated), pair),
     )
-
-    bad = next(
-        ((a, b) for a in range(m) for b in range(m) if p.near(a, b) and (a == 0 or b == 0)),
-        None,
-    )
-    results.append(
-        AxiomResult("nonempty-arguments", bad is None)
-        if bad is None
-        else AxiomResult("nonempty-arguments", False, {"pair": _pair_str(u, bad)})
-    )
-
-    full = m - 1
-    bad = None
-    for a in range(m):
-        for b in range(m):
-            if p.near(a, b):
-                continue
-            if not any(
-                not p.near(a, d) and not p.near(full & ~d, b) for d in range(m)
-            ):
-                bad = (a, b)
-                break
-        if bad:
-            break
-    results.append(
-        AxiomResult("separating-set", bad is None)
-        if bad is None
-        else AxiomResult("separating-set", False, {"pair": _pair_str(u, bad)})
-    )
-    return CheckReport("proximity axioms", tuple(results))
-
-
-def _pair_str(u: Universe, pair: tuple[int, int]) -> str:
-    return f"{_subset_str(u, pair[0])}, {_subset_str(u, pair[1])}"
+    return CheckReport("proximity axioms", results)
 
 
 def enumerate_clusters(p: ExplicitProximity) -> list[int]:
     """All maximal mutually-near collections, by exhaustive search over
     up-closed candidates (union-primeness forces upward closure)."""
-    m = p.slots
-    out = []
-    for key in _up_closed_keys(m):
-        if key == 0:
-            continue
-        members = list(bo.bits(key))
-        if any(not p.near(a, b) for a in members for b in members):
-            continue
-        if any(
-            bool(key >> (a | b) & 1) != bool(key >> a & 1 or key >> b & 1)
-            for a in range(m)
-            for b in range(m)
-        ):
-            continue
-        if any(
-            all(p.near(a, b) for b in members) and not key >> a & 1 for a in range(m)
-        ):
-            continue
-        out.append(key)
-    return out
+    keys = _up_closed_keys(p.slots)
+    has, far = _members(keys, p.slots), ~_members(p.rows, p.slots)
+    mutual = ~(has @ far & has).any(axis=1)
+    # no subset near every member stays outside
+    maximal = ~(~(has @ far.T) & ~has).any(axis=1)
+    return keys[(keys != 0) & mutual & _union_prime(has) & maximal].tolist()
 
 
 def proximal_nearness(p: ExplicitProximity) -> ExplicitNearness:
-    """Near iff all members are pairwise near in the proximity."""
-
-    def near(key: int) -> bool:
-        members = list(bo.bits(key))
-        return all(p.near(a, b) for a in members for b in members)
-
-    return ExplicitNearness.from_predicate(p.universe, near)
+    """Near iff all members are pairwise near in the proximity: a family
+    is far exactly when it holds the key {a, b} of a pair that is not near
+    (a = b included)."""
+    m = p.slots
+    s = np.arange(m)
+    far = np.zeros(1 << m, dtype=bool)
+    far[(1 << s[:, None] | 1 << s)[~_members(p.rows, m)]] = True
+    return ExplicitNearness(p.universe, np.flatnonzero(~bo.or_has_submask(far, m)).tolist())

@@ -211,6 +211,40 @@ class TestBunch:
         assert proc.stderr.startswith("schema error: ")
 
 
+class TestLabelLists:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["structures"][0].update(generators="ab"),
+            lambda doc: doc["structures"][0].update(generators=[["ab"]]),
+            lambda doc: doc["structures"].append({"name": "p", "type": "partition", "blocks": "abc"}),
+            lambda doc: doc["structures"].append({"name": "p", "type": "partition", "blocks": ["abc"]}),
+        ],
+        ids=["generators-string", "member-string", "blocks-string", "block-string"],
+    )
+    def test_string_for_a_label_list_exits_two(self, tmp_path, edit):
+        doc = json.loads(THREE_POINT.read_text())
+        edit(doc)
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", "check", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("schema error: ") and "must be a list" in proc.stderr
+
+    @pytest.mark.parametrize("family", ["ab", ["ab"]], ids=["family-string", "member-string"])
+    def test_near_family_string_exits_two(self, tmp_path, capsys, family):
+        doc = json.loads(THREE_POINT.read_text())
+        doc["queries"] = {"near": [{"structure": "c", "family": family}]}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        assert main(["near", str(path)]) == 2
+        assert "must be a list" in capsys.readouterr().err
+
+
 class TestPartitionDocuments:
     @pytest.mark.parametrize("blocks", [[["a"]], [["a", "b"], ["b", "c"]]], ids=["misses", "repeats"])
     def test_blocks_not_partitioning_exit_two_without_traceback(self, tmp_path, blocks):
