@@ -182,6 +182,14 @@ class BunchObstruction:
         window, pivot, checks = self.window, self.pivot, self.scale_checks
         if window > WINDOW_CAP:
             raise CapExceeded(f"window {window} exceeds the cap {WINDOW_CAP}")
+        # a None distance reads 0 here, and ``empty`` marks it
+        rows = [(c.scale, c.side, c.member_point, c.distance_to_candidate or 0) for c in checks]
+        try:
+            table = np.array(rows)
+        except ValueError:  # a list among the fields makes the rows ragged
+            return False
+        if table.dtype.kind != "i" or table.ndim != 2:  # a float, string, oversized or list entry
+            return False
         if not self.complete or window < 0 or not self.family or pivot != self.family[0]:
             return False
         if not isinstance(pivot, ls.PeriodicSet) or pivot.is_finite():
@@ -196,14 +204,6 @@ class BunchObstruction:
         low = lw if lw[-1] >= 4096 else pivot.window_array(4096)
         n = int(np.searchsorted(low, 4096, "right"))  # the pivot's points up to 4096
         if any(sum(b - a for a, b in ls._sparsify_runs(n, s)) < 8 for s in (0, 1)):
-            return False
-        # a None distance reads 0 here, and ``empty`` marks it
-        rows = [(c.scale, c.side, c.member_point, c.distance_to_candidate or 0) for c in checks]
-        try:
-            table = np.array(rows, dtype=None if rows else np.int64).reshape(-1, 4)
-        except ValueError:  # a list among the fields: the rows are ragged
-            return False
-        if table.dtype.kind != "i":  # a float, string or oversized entry
             return False
         scale, side, point, dist = table.T
         empty = np.array([c.distance_to_candidate is None for c in checks], dtype=bool)

@@ -265,9 +265,13 @@ REJECTED_EDITS = {
     ),
     # read as an int64, it would be the genuine point
     "member_point_fraction": _edit_check("member_point", lambda c: c["member_point"] + 0.5),
-    # a nested list among the fields cannot be read as one integer table
+    # a list among the fields cannot be read as one integer table
     "distance_to_candidate_list": _edit_check(
         "distance_to_candidate", lambda c: [c["distance_to_candidate"]], _claims_a_distance
+    ),
+    "scale_list": _edit_check("scale", lambda c: [c["scale"]]),
+    "every_field_a_list": lambda doc: doc.update(
+        scale_checks=[{key: [value] for key, value in c.items()} for c in doc["scale_checks"]]
     ),
     "side_flipped": _edit_check("side", lambda c: 1 - c["side"]),
     "scale_shifted": _edit_check("scale", lambda c: c["scale"] + 1),
