@@ -195,10 +195,12 @@ def build_nearness(doc: InstanceDocument, desc: dict) -> ExplicitNearness:
     closure = desc.get("closure", "discrete")
     if closure == "discrete":
         table = discrete_closure(universe)
-    else:
+    elif isinstance(closure, dict):
         table = tuple(
             _subset(universe, closure[str(s)]).mask for s in range(1 << universe.size)
         )
+    else:
+        raise SchemaError(f'closure must be "discrete" or an object, not {closure!r}')
     keys = [_family(universe, fam).mask_key() for fam in desc["near"]]
     return ExplicitNearness(universe, keys, table)
 
@@ -219,9 +221,16 @@ def build_proximity(doc: InstanceDocument, desc: dict) -> ExplicitProximity:
 def build_coarse(doc: InstanceDocument, desc: dict) -> ExplicitCoarse:
     universe = doc.universe()
     pair_lists = [
-        [(x, y) for x, y in gen] for gen in desc.get("generators", [])
+        [_pair(p) for p in _list(gen, "a generator")]
+        for gen in _list(desc.get("generators", []), "generators")
     ]
     return ExplicitCoarse.from_pairs(universe, pair_lists)
+
+
+def _pair(value: Any) -> tuple[str, str]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"a related pair must be a list of two labels, not {value!r}")
+    return value[0], value[1]
 
 
 def build_cover(doc: InstanceDocument, desc: dict) -> Cover:

@@ -414,15 +414,18 @@ def discrete_closure(universe: Universe) -> tuple[int, ...]:
 
 
 def validate_closure_table(universe: Universe, table: tuple[int, ...]) -> None:
-    """A closure operator must fix the empty set, be extensive,
-    idempotent, and distribute over unions.  Each error names the first
-    failing subset, or pair of subsets."""
+    """A closure operator must map subsets to subsets, fix the empty set,
+    be extensive, idempotent, and distribute over unions.  Each error
+    names the first failing subset, or pair of subsets."""
     m = 1 << universe.size
     if len(table) != m:
         raise ValueError("closure table must cover every subset")
     if table[0] != 0:
         raise ValueError("closure must fix the empty set")
     t, s = np.asarray(table), np.arange(m)
+    bad = _first((t < 0) | (t >= m))
+    if bad is not None:
+        raise ValueError(f"closure must map to subsets: {bad[0]}")
     bad = _first(np.column_stack((s & ~t != 0, t[t] != t)))
     if bad is not None:
         a, idempotence = bad

@@ -211,20 +211,24 @@ class TestBunch:
         assert proc.stderr.startswith("schema error: ")
 
 
+# edits of the three-point document's structure that put a string, or
+# another non-list, where a list of labels is expected
+LABEL_LIST_EDITS = {
+    "generators-string": {"generators": "ab"},
+    "member-string": {"generators": [["ab"]]},
+    "blocks-string": {"type": "partition", "blocks": "abc"},
+    "block-string": {"type": "partition", "blocks": ["abc"]},
+    "coarse-generator-string": {"type": "coarse", "generators": ["ab"]},
+    "coarse-pair-string": {"type": "coarse", "generators": [["ab"]]},
+    "closure-list": {"type": "nearness-explicit", "closure": [0, 1], "near": []},
+}
+
+
 class TestLabelLists:
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda doc: doc["structures"][0].update(generators="ab"),
-            lambda doc: doc["structures"][0].update(generators=[["ab"]]),
-            lambda doc: doc["structures"].append({"name": "p", "type": "partition", "blocks": "abc"}),
-            lambda doc: doc["structures"].append({"name": "p", "type": "partition", "blocks": ["abc"]}),
-        ],
-        ids=["generators-string", "member-string", "blocks-string", "block-string"],
-    )
-    def test_string_for_a_label_list_exits_two(self, tmp_path, edit):
+    @pytest.mark.parametrize("kind", sorted(LABEL_LIST_EDITS))
+    def test_string_for_a_label_list_exits_two(self, tmp_path, kind):
         doc = json.loads(THREE_POINT.read_text())
-        edit(doc)
+        doc["structures"][0].update(LABEL_LIST_EDITS[kind])
         path = tmp_path / "labels.json"
         path.write_text(json.dumps(doc))
         proc = subprocess.run(
@@ -233,7 +237,7 @@ class TestLabelLists:
         )
         assert proc.returncode == 2, proc.stdout
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("schema error: ") and "must be a list" in proc.stderr
+        assert proc.stderr.startswith("schema error: ") and "must be" in proc.stderr
 
     @pytest.mark.parametrize("family", ["ab", ["ab"]], ids=["family-string", "member-string"])
     def test_near_family_string_exits_two(self, tmp_path, capsys, family):

@@ -288,6 +288,12 @@ class TestClosureValidation:
             validate_closure_table(U3, tuple(table))
 
 
+    @pytest.mark.parametrize("table", [(0, -1, -1, -1), (0, 1, 7, 3)], ids=["negative", "too-big"])
+    def test_entry_outside_the_subsets_rejected(self, table):
+        with pytest.raises(ValueError, match="map to subsets"):
+            validate_closure_table(U2, table)
+
+
 class TestAsr:
     def test_identity(self):
         assert check_asr_axioms(ExplicitASR.identity(U3)).passed
