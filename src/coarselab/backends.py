@@ -595,7 +595,6 @@ def proximity_of(
 
 
 # ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
 # Regularization
 # ---------------------------------------------------------------------------
 

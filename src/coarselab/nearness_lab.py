@@ -188,7 +188,8 @@ class BunchObstruction:
             table = np.array(rows)
         except ValueError:  # a list among the fields makes the rows ragged
             return False
-        if table.dtype.kind != "i" or table.ndim != 2:  # a float, string, oversized or list entry
+        # a float, string or oversized entry, or a list in every field
+        if table.dtype.kind != "i" or table.ndim != 2:
             return False
         if not self.complete or window < 0 or not self.family or pivot != self.family[0]:
             return False

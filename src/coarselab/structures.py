@@ -687,7 +687,7 @@ def check_asr_axioms(l: ExplicitASR) -> CheckReport:
     # [b1, b2, b]: b is the union of the nonempty parts b1 and b2
     parts = (union[:, :, None] == s) & (s[:, None, None] > 0) & (s[:, None] > 0)
     # [a1, a2, b]: b splits into parts alike a1 and a2
-    splits = np.einsum("ix,jy,xyb->ijb", alike, alike, parts)
+    splits = np.einsum("ix,jy,xyb->ijb", alike, alike, parts, optimize=True)
     nonempty = (s[:, None, None] > 0) & (s[:, None] > 0) & (s > 0)
     results = (
         _axiom(
