@@ -21,6 +21,7 @@ from coarselab.structures import (
     topological_nearness,
 )
 
+from digests import GOLDEN_DIR, canonical, digest_line, golden_digest
 from oracles import bunch_families, reference_sides, revalidate_reference, scale_checks_reference
 
 U2 = Universe.of("a", "b")
@@ -446,6 +447,25 @@ def test_revalidate_agrees_with_the_reference_checker():
         compared += 1
     assert min(edit_verdicts.values()) > 10  # both verdicts occur
     assert min(windows) <= 12 and max(windows) > 5000
+
+
+def test_golden_certificates():
+    """The certificates for {evens, odds}, {2, 0} mod 6 and {7, 6, 3} mod 10
+    at scale 16, and for {evens, odds} at scale 64 (witnesses past the
+    first 64 pivot points), all at window 1e4, reproduce their records of
+    the line golden group byte for byte and revalidate."""
+    cases = (
+        ("evens-odds", [ls.evens(), ls.odds()], 16),
+        ("mod6", [ls.arithmetic(2, 6), ls.arithmetic(0, 6)], 16),
+        ("mod10", [ls.arithmetic(7, 10), ls.arithmetic(6, 10), ls.arithmetic(3, 10)], 16),
+        ("evens-odds", [ls.evens(), ls.odds()], 64),
+    )
+    for label, members, budget in cases:
+        cert = bunch_obstruction(members, scale_budget=budget, window=10**4)
+        assert cert.revalidate()
+        record = f"bunch {label} {budget} {10**4}"
+        got = digest_line(record, canonical([cert.to_json(), True]))
+        assert got == f"{golden_digest(GOLDEN_DIR / 'line.sha256', record)}  {record}"
 
 
 class TestExplicitContrast:
