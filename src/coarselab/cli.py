@@ -212,6 +212,9 @@ def cmd_near(args) -> int:
                 )
             )
         else:
+            missing = [key for key in ("structure", "family") if key not in q]
+            if missing:
+                raise SchemaError(f"near query {i} has no {missing[0]!r}")
             desc = doc.structure(q["structure"])
             backend = build_backend(doc, desc)
             verdict = nearness_of(NearnessQuery(backend, _family(doc.universe(), q["family"])))

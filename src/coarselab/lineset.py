@@ -785,38 +785,39 @@ def normality_split(
     """
     da = _distance_field(_padded_window(a, hi), hi)
     db = _distance_field(_padded_window(b, hi), hi)
-    x1, x2, verdict, _ = _split_with_windows(a, b, da, db, hi, scales)
-    return x1, x2, verdict
+    x1, x2, _ = _split_with_windows(a, b, da, db)
+    return x1, x2, _split_verdict(da, db, hi, scales)
 
 
 def _split_with_windows(
-    a: LineSet,
-    b: LineSet,
-    da: np.ndarray,
-    db: np.ndarray,
-    hi: int,
-    scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-) -> tuple[BlocksSet, BlocksSet, TriVerdict, tuple[np.ndarray, np.ndarray]]:
-    """``normality_split`` from the distance fields ``da`` and ``db`` of
-    ``a`` and ``b`` over ``[0, hi]``, plus the windows ``x1.window_array(hi)``
-    and ``x2.window_array(hi)``, taken from the same fields.
+    a: LineSet, b: LineSet, da: np.ndarray, db: np.ndarray
+) -> tuple[BlocksSet, BlocksSet, tuple[np.ndarray, np.ndarray]]:
+    """``normality_split``'s sides, and their windows over the range of
+    the distance fields ``da`` and ``db`` of ``a`` and ``b``, taken from
+    those fields.
 
     Every point has ``da >= db`` or ``db >= da``, so the sides always
-    cover ``[0, hi]`` and the verdict is always Yes; this is why
-    ``BunchObstruction.revalidate`` need not check the coverage of sides
-    that equal ``x1`` and ``x2``."""
+    cover the line; this is why ``BunchObstruction.revalidate`` need not
+    check the coverage of sides that equal ``x1`` and ``x2``."""
     x1 = BlocksSet("nearer-side", (0,), (a, b), ("divergent",))
     x2 = BlocksSet("nearer-side", (1,), (a, b), ("divergent",))
-    in1 = da >= db
-    in2 = db >= da
-    last_a = _last_within(da, in1, scales).tolist()
-    last_b = _last_within(db, in2, scales).tolist()
+    return x1, x2, (np.flatnonzero(da >= db), np.flatnonzero(db >= da))
+
+
+def _split_verdict(
+    da: np.ndarray, db: np.ndarray, hi: int, scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+) -> TriVerdict:
+    """``normality_split``'s verdict for ``[0, hi]``, its evidence read
+    from the distance fields ``da`` and ``db``.  They may stop short of
+    ``hi`` where no point past them can be evidence.  The verdict is
+    always Yes: the sides always cover the line."""
+    last_a = _last_within(da, da >= db, scales).tolist()
+    last_b = _last_within(db, db >= da, scales).tolist()
     evidence = [
         {"scale": k, "last_near_a": la, "last_near_b": lb}
         for k, la, lb in zip(scales, last_a, last_b)
     ]
-    windows = (np.flatnonzero(in1), np.flatnonzero(in2))
-    return x1, x2, TriVerdict.yes(window=hi, scales=evidence), windows
+    return TriVerdict.yes(window=hi, scales=evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -20,24 +20,34 @@ Each scale check stores the *first* such witness: the smallest guarded
 pivot point (at most ``window - k``) farther than k from the candidate,
 with its distance.  Every guarded pivot point below it lies within k of
 the candidate, so the stored check is a function of the family, the
-scale and the window alone, and the witness scan may stop as soon as it
-finds a far point.
+scale and the window alone.
 
-The scan takes the guarded pivot points in chunks and measures each
-chunk against a part of the candidate only: its points up to the
-chunk's last point plus k, and the first candidate point past them.
-That part holds both nearest candidate points of every chunk point p:
-the last one at or below p lies in the prefix, and the first one above
-p is either in the prefix or, if it lies past the chunk's last point
-plus k, the first candidate point past the prefix.  So every distance
-the scan reads, the stored one included, is the distance to the whole
-candidate.
+One pass finds the witnesses of all scales.  A side point p within k of
+a pivot point l has ``field[p] = dist(p, pivot) <= |l - p| <= k``, so it
+is in the scale-k candidate: l lies within k of the candidate exactly
+when it lies within k of the side.  That distance does not depend on k,
+so the scale-k witness is the first pivot point at which the running
+maximum of these distances passes k, and one ``searchsorted`` gives
+every scale's.  Only the stored distance needs the candidate
+``side[field <= k]``: it is searched outward from the witness.
 
-The three distance fields over ``[0, window]`` come from
+The build works on a reach ``[0, h]``, not on the whole window.  Its
+three distance fields over ``[0, h]`` come from
 ``lineset._sparsify_fields``: the pivot's, exact up to ``N0 + 2L`` and
 one period tiled past it, gives the side points' distances to the
 pivot; each sparsify half's, the pivot's inside the half's index runs
-and filled from the run ends between them, gives the two sides.
+and filled from the run ends between them, gives the two sides.  They
+are exact on ``[0, h]`` for every h.  A check found there is the
+window's check once it is settled: its witness l lies at most
+``h - k``, so every side point within k of it, or of a pivot point
+below it, lies in ``[0, h]``; and its stored distance d has
+``l + d <= h``, so no candidate point past h lies nearer.  A candidate
+empty on ``[0, h]`` may fill past h, so it is settled only at the
+window.  h starts at 4096, or at the end of the coverage evidence
+(``_evidence_top``) where that lies further, and doubles, up to the
+window, until every check is settled.  At the window every check is
+settled or the window has run out, which raises
+``ObstructionBudgetExhausted``.
 
 ``BunchObstruction.revalidate`` rebuilds none of the stored sets.  The
 pivot must be ``family[0]`` and an infinite periodic set; the halves
@@ -46,14 +56,16 @@ must equal ``sparsify_split(pivot)`` and the sides the two
 and the sides cover the line by construction.  The three fields come
 from the same ``_sparsify_fields`` call as in the build: each side's
 window is where its half field is the larger, and its points'
-distances to the pivot are the pivot's field there.  A member point
-passes where the pivot's field is 0.  A stored distance ``D`` is not
-recomputed but tested: ``D`` is the distance from ``l`` to the scale-k
-candidate exactly when no candidate point lies strictly between
-``l - D`` and ``l + D`` and one of the two is a candidate point.  Two
-``searchsorted`` calls over a side's window find both ends and the
-points between them for all of that side's checks at once, and one
-``np.minimum.reduceat`` takes the least pivot distance between them.
+distances to the pivot are the pivot's field there.  The coverage
+verdict must be the build's, read from the half fields over the same
+evidence prefix.  A member point passes where the pivot's field is 0.
+A stored distance ``D`` is not recomputed but tested: ``D`` is the
+distance from ``l`` to the scale-k candidate exactly when no candidate
+point lies strictly between ``l - D`` and ``l + D`` and one of the two
+is a candidate point.  Two ``searchsorted`` calls over a side's window
+find both ends and the points between them for all of that side's
+checks at once, and one ``np.minimum.reduceat`` takes the least pivot
+distance between them.
 """
 
 from __future__ import annotations
@@ -77,9 +89,13 @@ from .structures import (
 from .verdict import TriVerdict
 
 
-# The build holds a pivot window up to 5 * window + 64 and three distance
-# fields over [0, window]: at the cap, about 0.7 GB for the naturals.
+# The build's windows and fields reach past 4096 only as far as its
+# checks and coverage evidence need (see the module docstring).
+# ``revalidate`` still builds them over [0, window]: at the cap, about
+# 0.7 GB for the naturals.
 WINDOW_CAP = 10**7
+# The least reach the build starts from; it doubles from there.
+_REACH = 4096
 
 
 class ObstructionRejected(ValueError):
@@ -174,10 +190,10 @@ class BunchObstruction:
         )
 
     def revalidate(self) -> bool:
-        """Re-check the certificate from its pivot alone: the halves and
-        sides must be the ones the pivot determines, and every scale
-        check is tested against the pivot's distance fields (see the
-        module docstring).  Raises ``CapExceeded`` above ``WINDOW_CAP``
+        """Re-check the certificate from its pivot alone: the halves,
+        sides and coverage must be the ones the pivot determines, and
+        every scale check is tested against the pivot's distance fields
+        (see the module docstring).  Raises ``CapExceeded`` above ``WINDOW_CAP``
         before anything is built."""
         window, pivot, checks = self.window, self.pivot, self.scale_checks
         if window > WINDOW_CAP:
@@ -202,10 +218,6 @@ class BunchObstruction:
         lw, field, field1, field2 = ls._sparsify_fields(pivot, window)
         if field1 is None or field2 is None:
             return False
-        low = lw if lw[-1] >= 4096 else pivot.window_array(4096)
-        n = int(np.searchsorted(low, 4096, "right"))  # the pivot's points up to 4096
-        if any(sum(b - a for a, b in ls._sparsify_runs(n, s)) < 8 for s in (0, 1)):
-            return False
         scale, side, point, dist = table.T
         empty = np.array([c.distance_to_candidate is None for c in checks], dtype=bool)
         # two points of [0, window] lie at most window apart
@@ -228,43 +240,105 @@ class BunchObstruction:
             exact = (d > k) & (left | right) & ((lo >= hi) | (inner > k))
             if not np.where(empty[mine], near.min() > k, exact).all():
                 return False
-        return True
+        top = _evidence_top(lw, window)
+        return self.coverage == ls._split_verdict(field1[: top + 1], field2[: top + 1], window)
 
 
-def _chunks(n: int):
-    """``(start, stop)`` bounds of the chunks of 64, 128, 256, ... entries
-    that cover ``range(n)``."""
-    start, size = 0, 64
-    while start < n:
-        yield start, min(start + size, n)
-        start += size
-        size *= 2
+def _evidence_top(pivot_points: np.ndarray, window: int) -> int:
+    """The end of the prefix of ``[0, window]`` that holds all coverage
+    evidence, from ``pivot_points``: the pivot's points up to the window,
+    or at least its first 128.
+
+    The evidence's scales are at most 32, so a point that counts lies
+    within 32 of both sparsify halves, whose points there lie within 64
+    of each other.  The pivot's points are distinct integers, so points
+    ``j - i`` indices apart lie at least that far apart, and the halves'
+    index runs come within 64 indices of each other only below index
+    128.  So every point that counts lies below the pivot's 128th point
+    plus 32, and the evidence of a prefix reaching 64 past that point is
+    the evidence of the whole window.  The build and ``revalidate`` both
+    read the evidence from this prefix."""
+    if pivot_points.size < 128:
+        return window
+    return min(window, int(pivot_points[127]) + 64)
 
 
-def _first_far(
-    points: np.ndarray, side: np.ndarray, d_side: np.ndarray, k: int
-) -> tuple[int, int] | None:
-    """The first of the sorted ``points`` farther than ``k`` from the
-    nonempty candidate ``side[d_side <= k]``, with its distance, or None.
+def _nearest_candidates(
+    sw: np.ndarray, d_side: np.ndarray, points: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    """For each ``points[i]`` and ``scales[i] = k``, the distance from the
+    point to the nonempty candidate ``sw[d_side <= k]``.
 
-    Scans ``points`` chunk by chunk and stops at the first chunk that
-    holds a far point.  Each chunk is measured against the candidate
-    points up to its last point plus ``k``, and the first candidate
-    point past them (see the module docstring)."""
-    for start, stop in _chunks(points.size):
-        chunk = points[start:stop]
-        cut = int(np.searchsorted(side, chunk[-1] + k, "right"))
-        candidate = side[:cut][d_side[:cut] <= k]
-        for lo, hi in _chunks(side.size - cut):
-            hit = np.flatnonzero(d_side[cut + lo : cut + hi] <= k)
-            if hit.size:
-                candidate = np.append(candidate, side[cut + lo + hit[0]])
-                break
-        dists = _distances_to(chunk, candidate)
-        far = np.flatnonzero(dists > k)
-        if far.size:
-            return int(chunk[far[0]]), int(dists[far[0]])
-    return None
+    A candidate point past a radius lies farther than one within it, so
+    each point is searched outward within radii 64, 128, 256, ... until
+    one holds a candidate point.  The points share the first radius, up
+    to 1024 at a time over the at most 129 side points within it; a
+    point that needs more is searched alone, which keeps memory within
+    the side window."""
+    d = np.empty(points.size, dtype=np.int64)
+    for s in range(0, points.size, 1024):
+        l, k = points[s : s + 1024], scales[s : s + 1024]
+        lo, hi = np.searchsorted(sw, (l - 64, l + 65))
+        span = lo[:, None] + np.arange((hi - lo).max())
+        at = np.minimum(span, sw.size - 1)
+        near = (span < hi[:, None]) & (d_side[at] <= k[:, None])
+        dist = np.where(near, np.abs(sw[at] - l[:, None]), ls._FAR)
+        d[s : s + 1024] = dist.min(axis=1, initial=ls._FAR)
+    for i in np.flatnonzero(d > 64).tolist():
+        l, k, r = int(points[i]), int(scales[i]), 64
+        while d[i] > r:
+            r *= 2
+            lo, hi = np.searchsorted(sw, (l - r, l + r + 1))
+            d[i] = np.abs(sw[lo:hi][d_side[lo:hi] <= k] - l).min(initial=ls._FAR)
+    return d
+
+
+def _scale_checks(
+    lw: np.ndarray,
+    field: np.ndarray,
+    side_windows: tuple[np.ndarray, np.ndarray],
+    scale_budget: int,
+    reach: int,
+    final: bool,
+) -> list[ScaleCheck] | None:
+    """The scale checks, side 0 first, from the fields over ``[0, reach]``,
+    or None when one of them is not settled there and ``reach`` is not
+    the window (``final``).
+
+    A check is settled when its witness ``l`` lies at most ``reach - k``
+    and its stored distance ``d`` has ``l + d <= reach``; an empty
+    candidate is settled only at the window (see the module docstring).
+    At the window, a check with no witness raises
+    ``ObstructionBudgetExhausted`` with the checks before it."""
+    lw = lw[: np.searchsorted(lw, reach, "right")]
+    # no scale past reach + 1 is reached: that check has no guarded witness
+    scales = np.arange(min(scale_budget, reach + 1) + 1)
+    checks: list[ScaleCheck] = []
+    for side, sw in enumerate(side_windows):
+        d_side = field[sw]
+        to_side = _distances_to(lw, sw) if sw.size else np.full(lw.size, ls._FAR)
+        # the scale-k witness is the first pivot point whose running max
+        # of distances to the side passes k
+        first = np.searchsorted(np.maximum.accumulate(to_side), scales, "right")
+        wit = np.append(lw, ls._FAR)[first]
+        guarded = wit <= reach - scales
+        filled = scales >= (d_side.min() if sw.size else ls._FAR)  # nonempty candidate
+        found = guarded & filled
+        dist = np.zeros(scales.size, dtype=np.int64)
+        dist[found] = _nearest_candidates(sw, d_side, wit[found], scales[found])
+        if not final and not (found & (wit + dist <= reach)).all():
+            return None
+        for k in scales.tolist():
+            if not guarded[k]:
+                raise ObstructionBudgetExhausted(
+                    f"scale check failed: side {side} holds a candidate within "
+                    f"{k} of every member point up to the window"
+                    if filled[k]
+                    else "window too small for the pivot member",
+                    checks,
+                )
+            checks.append(ScaleCheck(k, side, int(wit[k]), int(dist[k]) if filled[k] else None))
+    return checks
 
 
 def bunch_obstruction(
@@ -303,32 +377,21 @@ def bunch_obstruction(
 
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
-    lw_pad, field, field1, field2 = ls._sparsify_fields(pivot, window)
-    if field1 is None or field2 is None:
-        raise ObstructionBudgetExhausted("window too small for the pivot member")
-    side1, side2, coverage, side_windows = ls._split_with_windows(
-        half1, half2, field1, field2, window
-    )
-
-    checks: list[ScaleCheck] = []
-    for side_idx, sw in enumerate(side_windows):
-        d_side = field[sw]
-        nearest = int(d_side.min()) if sw.size else None
-        for k in range(scale_budget + 1):
-            witnesses = lw_pad[: np.searchsorted(lw_pad, window - k, "right")]
-            if nearest is None or nearest > k:  # the candidate is empty
-                if witnesses.size == 0:
-                    raise ObstructionBudgetExhausted("window too small for the pivot member", checks)
-                checks.append(ScaleCheck(k, side_idx, int(witnesses[0]), None))
-                continue
-            far = _first_far(witnesses, sw, d_side, k)
-            if far is None:
-                raise ObstructionBudgetExhausted(
-                    f"scale check failed: side {side_idx} holds a candidate within "
-                    f"{k} of every member point up to the window",
-                    checks,
-                )
-            checks.append(ScaleCheck(k, side_idx, *far))
+    # past N0 the pivot's shortest progression alone gives one point per step
+    step = min(p for _, p in pivot.progressions)
+    low = pivot.window_array(min(window, pivot.stabilization_base() + 128 * step))
+    top = _evidence_top(low, window)
+    reach = max(min(window, _REACH), top)
+    while True:
+        lw_pad, field, field1, field2 = ls._sparsify_fields(pivot, reach)
+        if field1 is None or field2 is None:
+            raise ObstructionBudgetExhausted("window too small for the pivot member")
+        side1, side2, side_windows = ls._split_with_windows(half1, half2, field1, field2)
+        checks = _scale_checks(lw_pad, field, side_windows, scale_budget, reach, reach == window)
+        if checks is not None:
+            break
+        reach = min(2 * reach, window)
+    coverage = ls._split_verdict(field1[: top + 1], field2[: top + 1], window)
 
     return BunchObstruction(
         family=tuple(members),

@@ -19,9 +19,10 @@ from coarselab import _bitops as bo
 from coarselab.backends import MetricLineBackend, NearnessQuery, nearness_of
 from coarselab import lineset as ls
 from coarselab.lineset import PeriodicSet, _cushion, _distances_to, _padded_window
-from coarselab.nearness_lab import ScaleCheck
+from coarselab.nearness_lab import BunchObstruction, ObstructionBudgetExhausted, ScaleCheck
 from coarselab.setcore import Family, Subset, Universe
 from coarselab.structures import ExplicitLSR, _two_part_splits
+from coarselab.verdict import TriVerdict
 
 
 def nearest_distance(sorted_elems: list[int], x: int) -> int:
@@ -152,6 +153,93 @@ def scale_checks_reference(family, budget: int, window: int):
                 )
             checks.append(ScaleCheck(k, side, int(witnesses[far[0]]), int(dists[far[0]])))
     return tuple(checks), None
+
+
+def _chunks(n: int):
+    """``(start, stop)`` bounds of the chunks of 64, 128, 256, ... entries
+    that cover ``range(n)``."""
+    start, size = 0, 64
+    while start < n:
+        yield start, min(start + size, n)
+        start += size
+        size *= 2
+
+
+def _first_far(points, side, d_side, k):
+    """The first of the sorted ``points`` farther than ``k`` from the
+    nonempty candidate ``side[d_side <= k]``, with its distance, or None,
+    scanned chunk by chunk against the candidate points up to the chunk's
+    last point plus ``k`` and the first candidate point past them."""
+    for start, stop in _chunks(points.size):
+        chunk = points[start:stop]
+        cut = int(np.searchsorted(side, chunk[-1] + k, "right"))
+        candidate = side[:cut][d_side[:cut] <= k]
+        for lo, hi in _chunks(side.size - cut):
+            hit = np.flatnonzero(d_side[cut + lo : cut + hi] <= k)
+            if hit.size:
+                candidate = np.append(candidate, side[cut + lo + hit[0]])
+                break
+        dists = _distances_to(chunk, candidate)
+        far = np.flatnonzero(dists > k)
+        if far.size:
+            return int(chunk[far[0]]), int(dists[far[0]])
+    return None
+
+
+def bunch_obstruction_reference(family, budget: int, window: int) -> BunchObstruction:
+    """``bunch_obstruction`` for a valid family as it was built over the
+    whole window: the three distance fields over ``[0, window]``, the
+    coverage evidence of all of it, and a ``_first_far`` scan per check.
+    Raises ``ObstructionBudgetExhausted`` as the build does."""
+    pivot = family[0]
+    half1, half2 = ls.sparsify_split(pivot)
+    lw_pad, field, field1, field2 = ls._sparsify_fields(pivot, window)
+    if field1 is None or field2 is None:
+        raise ObstructionBudgetExhausted("window too small for the pivot member")
+    scales = (1, 2, 4, 8, 16, 32)
+    in1, in2 = field1 >= field2, field2 >= field1
+    last_a = last_within_reference(np.where(in1, field1, ls._FAR), scales).tolist()
+    last_b = last_within_reference(np.where(in2, field2, ls._FAR), scales).tolist()
+    evidence = [
+        {"scale": k, "last_near_a": a, "last_near_b": b}
+        for k, a, b in zip(scales, last_a, last_b)
+    ]
+    checks = []
+    for side_idx, sw in enumerate((np.flatnonzero(in1), np.flatnonzero(in2))):
+        d_side = field[sw]
+        nearest = int(d_side.min()) if sw.size else None
+        for k in range(budget + 1):
+            witnesses = lw_pad[: np.searchsorted(lw_pad, window - k, "right")]
+            if nearest is None or nearest > k:
+                if witnesses.size == 0:
+                    raise ObstructionBudgetExhausted("window too small for the pivot member", checks)
+                checks.append(ScaleCheck(k, side_idx, int(witnesses[0]), None))
+                continue
+            far = _first_far(witnesses, sw, d_side, k)
+            if far is None:
+                raise ObstructionBudgetExhausted(
+                    f"scale check failed: side {side_idx} holds a candidate within "
+                    f"{k} of every member point up to the window",
+                    checks,
+                )
+            checks.append(ScaleCheck(k, side_idx, *far))
+    worst = max(
+        ls.hausdorff_distance(a, b).value for a, b in itertools.combinations(family, 2)
+    )
+    sides = [ls.BlocksSet("nearer-side", (s,), (half1, half2), ("divergent",)) for s in (0, 1)]
+    return BunchObstruction(
+        family=tuple(family),
+        refiner_scale=worst,
+        pivot=pivot,
+        half1=half1,
+        half2=half2,
+        side1=sides[0],
+        side2=sides[1],
+        coverage=TriVerdict.yes(window=window, scales=evidence),
+        scale_checks=tuple(checks),
+        scale_budget=budget,
+        window=window,
+    )
 
 
 def revalidate_reference(cert) -> bool:

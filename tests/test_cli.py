@@ -249,6 +249,20 @@ class TestLabelLists:
         assert "must be a list" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "query, key",
+        [({"family": [["a"], ["a", "b"]]}, "structure"), ({"structure": "c"}, "family")],
+        ids=["no-structure", "no-family"],
+    )
+    def test_near_query_missing_a_key_exits_two(self, tmp_path, capsys, query, key):
+        doc = json.loads(THREE_POINT.read_text())
+        doc["queries"] = {"near": [query]}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        assert main(["near", str(path)]) == 2
+        assert capsys.readouterr().err == f"schema error: near query 0 has no '{key}'\n"
+
+
 class TestPartitionDocuments:
     @pytest.mark.parametrize("blocks", [[["a"]], [["a", "b"], ["b", "c"]]], ids=["misses", "repeats"])
     def test_blocks_not_partitioning_exit_two_without_traceback(self, tmp_path, blocks):

@@ -140,7 +140,7 @@ def _families():
 def _certificate_records():
     """Certificates, or rejection messages, over families x budgets x
     windows; {evens, odds} at scale 64 puts the pivot's first far witness
-    past the first 64-point chunk."""
+    past its first 64 points."""
     for (label, family), budget, window in itertools.product(_families(), (4, 16, 64), (5, 300, 10**4)):
         try:
             cert = bunch_obstruction(family, scale_budget=budget, window=window)

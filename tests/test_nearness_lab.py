@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from coarselab.nearness_lab import (
     BunchObstruction,
     ObstructionBudgetExhausted,
     ObstructionRejected,
+    ScaleCheck,
+    _scale_checks,
     bunch_exists_explicit,
     bunch_obstruction,
     cluster_extension_contrast,
@@ -22,7 +25,12 @@ from coarselab.structures import (
 )
 
 from digests import GOLDEN_DIR, canonical, digest_line, golden_digest
-from oracles import bunch_families, reference_sides, revalidate_reference, scale_checks_reference
+from oracles import (
+    bunch_families,
+    bunch_obstruction_reference,
+    revalidate_reference,
+    scale_checks_reference,
+)
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -68,7 +76,7 @@ class TestObstruction:
 
     def test_scale_checks_are_replayable(self):
         # At scale 64 the {evens, odds} witnesses sit past the first
-        # 64 pivot points, so the chunked witness scan has to grow.
+        # 64 pivot points.
         cases = [
             ([ls.evens(), ls.odds()], 16),
             ([ls.evens(), ls.odds()], 64),
@@ -131,37 +139,14 @@ def scale_checks_built(family, budget, window):
         return e.checks, str(e)
 
 
-def checks_from_past_the_prefix(family, window, checks):
-    """The checks whose stored distance comes only from a candidate point
-    past the last point of the member point's witness chunk plus the
-    scale: the point the witness scan finds past the masked prefix."""
-    lw, sides = reference_sides(family[0], window)
-    out = []
-    for check in checks:
-        k, p, d = check.scale, check.member_point, check.distance_to_candidate
-        if d is None:
-            continue
-        sw, d_side = sides[check.side]
-        candidate = set(sw[d_side <= k].tolist())
-        witnesses = lw[lw <= window - k]
-        i = int(np.searchsorted(witnesses, p))
-        start, size = 0, 64
-        while start + size <= i:
-            start, size = start + size, 2 * size
-        last = int(witnesses[min(start + size, witnesses.size) - 1])
-        if p + d > last + k and p + d in candidate and p - d not in candidate:
-            out.append(check)
-    return out
-
-
 class TestScaleChecksReference:
-    """``bunch_obstruction``'s scale checks, from one distance field and
-    prefix masks, against the whole-window reference, on the first
-    families of criterion 5's draw."""
+    """``bunch_obstruction``'s scale checks, from one running maximum per
+    side, against the whole-window reference, on the first families of
+    criterion 5's draw."""
 
     FAMILIES = [[ls.evens(), ls.odds()], *bunch_families(random.Random(20260805), 12)]
 
-    @pytest.mark.parametrize("window", [500, 2000, 10**4])
+    @pytest.mark.parametrize("window", [500, 2000, 5000, 10**4])
     def test_complete_certificates(self, window):
         for family in self.FAMILIES:
             checks, failure = scale_checks_reference(family, 32, window)
@@ -170,16 +155,11 @@ class TestScaleChecksReference:
 
     def test_windows_that_run_out(self):
         # Below about 40 the window runs out at some scale; the checks
-        # made before it, and the failure, must agree.  Here the only
-        # witness of a chunk can be far from every candidate point of
-        # the masked prefix, so its distance comes from the point past it.
-        past = []
+        # made before it, and the failure, must agree.
         for family in self.FAMILIES:
             for window in range(4, 41):
                 expected = scale_checks_reference(family, 12, window)
                 assert scale_checks_built(family, 12, window) == expected
-                past += checks_from_past_the_prefix(family, window, expected[0])
-        assert past
 
 
 def _edit_pivot(doc):
@@ -277,6 +257,13 @@ REJECTED_EDITS = {
     "side_flipped": _edit_check("side", lambda c: 1 - c["side"]),
     "scale_shifted": _edit_check("scale", lambda c: c["scale"] + 1),
     "coverage": _edit_coverage,
+    "coverage_witness_forged": lambda doc: doc["coverage"].update(witness={"forged": 1}),
+    "coverage_witness_emptied": lambda doc: doc["coverage"].update(
+        witness={"window": 5, "scales": []}
+    ),
+    "coverage_last_near_a": lambda doc: doc["coverage"]["witness"]["scales"][-1].update(
+        last_near_a=doc["coverage"]["witness"]["scales"][-1]["last_near_a"] + 1
+    ),
     "drop_scale_check": _edit_drop_check,
     # rejected before a set of 2 * 10**12 (scale, side) pairs is built
     "scale_budget": lambda doc: doc.update(scale_budget=10**12),
@@ -447,6 +434,110 @@ def test_revalidate_agrees_with_the_reference_checker():
         compared += 1
     assert min(edit_verdicts.values()) > 10  # both verdicts occur
     assert min(windows) <= 12 and max(windows) > 5000
+
+
+def _sparse_pivot_family(rng: random.Random) -> list[ls.LineSet]:
+    """A pivot of two classes mod 100 with a finite part and a removal,
+    and a third class mod 100 disjoint from it: the pivot's 128th point
+    lies past 4096, so the build's reach starts past it."""
+    r1, r2, other = rng.sample(range(100), 3)
+    fin = [n for n in rng.sample(range(300), 3) if n % 100 != other]
+    pivot = ls.PeriodicSet(tuple(fin), ((r1, 100), (r2 + 100, 100)), (r1 + 100,))
+    return [pivot, ls.arithmetic(other, 100)]
+
+
+def _built_or_exhausted(build, family, budget, window):
+    try:
+        return build(family, budget, window).to_json()
+    except ObstructionBudgetExhausted as e:
+        return str(e), e.checks
+
+
+class TestReach:
+    """The build on ``[0, reach]``, grown from 4096, against the reference
+    build over the whole window."""
+
+    FAMILIES = [
+        *TestScaleChecksReference.FAMILIES[:6],
+        [ls.arithmetic(0, 40), ls.arithmetic(1, 40)],
+        [ls.arithmetic(0, 200), ls.arithmetic(1, 200)],
+        [ls.arithmetic(7, 200), ls.arithmetic(3, 200), ls.arithmetic(100, 200)],
+        *(_sparse_pivot_family(random.Random(seed)) for seed in range(4)),
+        *(_mixed_family(random.Random(seed)) for seed in range(4)),
+    ]
+    WINDOWS = [4097, 5000, 10**4, 10**5]
+
+    def test_certificates_equal_the_whole_window_build(self, monkeypatch):
+        # A budget of 1500 puts the {evens, odds} witnesses past 4096: the
+        # reach doubles, and the narrower windows run out.
+        cases = [(f, b, w) for f in self.FAMILIES for b in (8, 32) for w in self.WINDOWS]
+        cases += [([ls.evens(), ls.odds()], 1500, w) for w in self.WINDOWS]
+        reaches = []
+        fields = ls._sparsify_fields
+
+        def recorded(pivot, hi):
+            reaches.append(hi)
+            return fields(pivot, hi)
+
+        with monkeypatch.context() as m:
+            m.setattr(ls, "_sparsify_fields", recorded)
+            built = [_built_or_exhausted(bunch_obstruction, *case) for case in cases]
+        for case, got in zip(cases, built):
+            assert got == _built_or_exhausted(bunch_obstruction_reference, *case), case
+        certs = [got for got in built if isinstance(got, dict)]
+        assert len(certs) < len(built)  # some windows ran out
+        assert 8192 in reaches and 4096 in reaches and max(reaches) > 25000
+        # a stored distance past 64 takes the search past its first radius
+        assert max(
+            c["distance_to_candidate"] or 0 for cert in certs for c in cert["scale_checks"]
+        ) > 64
+
+    def test_a_distance_past_the_reach_is_not_settled(self):
+        # The witness 60 lies within the reach 100, yet its only candidate
+        # point below the reach, 0, is 60 away: a nearer one may lie past
+        # 100.  At the window (final) the same check is settled.
+        lw, sw, field = np.array([60]), np.array([0]), np.zeros(101, dtype=np.int64)
+        assert _scale_checks(lw, field, (sw, sw), 0, 100, False) is None
+        assert _scale_checks(lw, field, (sw, sw), 0, 100, True) == [
+            ScaleCheck(0, s, 60, 60) for s in (0, 1)
+        ]
+        # nor is a candidate empty below the reach
+        field[0] = 1
+        assert _scale_checks(lw, field, (sw, sw), 0, 100, False) is None
+        assert _scale_checks(lw, field, (sw, sw), 0, 100, True) == [
+            ScaleCheck(0, s, 60, None) for s in (0, 1)
+        ]
+
+    def test_distant_candidates_in_bounded_memory(self):
+        # The stored distances of {0, 1} mod 10**4 reach 20000; a search
+        # of every side point that near, for all witnesses at once,
+        # would hold over 20 MB.
+        tracemalloc.start()
+        try:
+            cert = bunch_obstruction([ls.arithmetic(0, 10**4), ls.arithmetic(1, 10**4)], 32, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.complete and peak < 10 * 2**20
+
+    def test_a_huge_budget_runs_out_at_the_window(self):
+        # scales past the window are never reached, so none is built
+        case = ([ls.evens(), ls.odds()], 10**12, 100)
+        got = _built_or_exhausted(bunch_obstruction, *case)
+        assert got == _built_or_exhausted(bunch_obstruction_reference, *case)
+        assert len(got[1]) < 100
+
+    def test_sparse_pivots_revalidate(self):
+        # sparse pivots: each half holds fewer than 8 points up to 4096
+        for m in range(65, 400, 7):
+            cert = bunch_obstruction([ls.arithmetic(0, m), ls.arithmetic(1, m)], 32, 10**5)
+            assert BunchObstruction.from_json(json.loads(json.dumps(cert.to_json()))).revalidate()
+
+    def test_window_cap_builds_within_reach(self, monkeypatch):
+        builds = count_window_builds(monkeypatch)
+        cert = bunch_obstruction([ls.evens(), ls.odds()], 32, WINDOW_CAP)
+        assert cert.complete and cert.window == cert.coverage.witness["window"] == WINDOW_CAP
+        assert builds and max(hi for _, hi in builds) <= 10**5
 
 
 def test_golden_certificates():
