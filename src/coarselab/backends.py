@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,11 +135,6 @@ class PartitionCoarseBackend(FiniteBackend):
             raise ValueError("blocks must partition the universe")
         self.blocks = tuple(sorted(int(b) for b in blocks))
         self._table: np.ndarray | None = None
-
-    @classmethod
-    def from_labels(cls, universe: Universe, blocks: Iterable[Iterable[str]]):
-        masks = [universe.subset(b).mask for b in blocks]
-        return cls(universe, masks)
 
     def saturation(self, mask: int) -> int:
         out = 0

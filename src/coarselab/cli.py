@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import __version__
 from .backends import NearnessQuery, nearness_of, sampled_line_axiom_report
@@ -24,6 +24,7 @@ from .documents import (
     InstanceDocument,
     SchemaError,
     _family,
+    as_object,
     build_asr,
     build_backend,
     build_coarse,
@@ -33,6 +34,7 @@ from .documents import (
     build_nearness,
     build_proximity,
     load_document,
+    objects,
 )
 from .maps import is_lsr_map, is_ls_equivalence
 from .mining import mine_nearness_product_failures, mine_non_ls_regular
@@ -52,6 +54,9 @@ EXIT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_CAP = 3
 EXIT_UNKNOWN = 4
+
+_INF = float("inf")
+_CONTAINERS = (list, tuple, dict)
 
 
 @dataclass
@@ -82,18 +87,89 @@ class Report:
 
     def render(self, as_json: bool) -> str:
         if as_json:
-            return json.dumps(
+            return json_text(
                 {
                     "version": __version__,
                     "command": self.command,
                     "lines": self.lines,
                     "details": self.payload,
                     "exit": self.exit_code(),
-                },
-                sort_keys=True,
-                indent=2,
+                }
             )
         return "\n".join([f"coarselab {__version__} :: {self.command}"] + self.lines)
+
+
+def json_text(value) -> str:
+    """The text ``json.dumps`` writes with ``sort_keys=True`` and
+    ``indent=2``, byte for byte.
+
+    Before Python 3.13 any ``indent`` makes ``json`` drop its C encoder
+    for a generator-based Python one; this writer appends to one list
+    and joins it once.  Like ``json.dumps`` it writes tuples as lists,
+    and it raises ``TypeError`` on a value or key of a type that
+    ``json`` does not write.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _scalar(value)
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(container, newline: str, out: list[str]) -> None:
+    """Append the text of a list, tuple or dict whose closing bracket
+    follows ``newline``; its items go one indent further in."""
+    if not container:
+        out.append("{}" if isinstance(container, dict) else "[]")
+        return
+    inner = newline + "  "
+    if isinstance(container, dict):
+        head, close = "{" + inner, newline + "}"
+        for key, item in sorted(container.items()):
+            head += _encode(key if isinstance(key, str) else _scalar(key)) + ": "
+            if type(item) is int:
+                out.append(head + int.__repr__(item))
+            elif isinstance(item, _CONTAINERS):
+                out.append(head)
+                _write(item, inner, out)
+            else:
+                out.append(head + _scalar(item))
+            head = "," + inner
+    else:
+        head, close = "[" + inner, newline + "]"
+        for item in container:
+            if type(item) is int:
+                out.append(head + int.__repr__(item))
+            elif isinstance(item, _CONTAINERS):
+                out.append(head)
+                _write(item, inner, out)
+            else:
+                out.append(head + _scalar(item))
+            head = "," + inner
+    out.append(close)
+
+
+def _scalar(value) -> str:
+    """The JSON text of a str, None, bool, int or float, as ``json`` writes it."""
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load(args) -> InstanceDocument:
@@ -244,7 +320,9 @@ def cmd_bunch(args) -> int:
     queries = doc.queries.get("bunch", [])
     if not queries:
         raise SchemaError("document has no bunch queries")
-    for i, q in enumerate(queries):
+    for i, q in enumerate(objects(queries, "queries.bunch")):
+        if "sets" not in q:
+            raise SchemaError(f"bunch query {i} has no 'sets'")
         sets = build_line_sets(q["sets"])
         try:
             cert = bunch_obstruction(
@@ -274,14 +352,15 @@ def cmd_map(args) -> int:
     report = Report("map")
     if not doc.maps:
         raise SchemaError("document has no maps")
-    for i, desc in enumerate(doc.maps):
+    for i, desc in enumerate(objects(doc.maps, "maps")):
         f = build_map(doc, desc)
         verdict = is_lsr_map(f)
         report.add(f"  map {i}: structure map: {verdict}")
         report.payload.append({"map": i, "structure_map": verdict.to_json()})
         report.record(verdict.outcome)
         if "inverse" in desc:
-            g = build_map(doc, {**desc["inverse"], "domain": desc.get("codomain"), "codomain": desc.get("domain")})
+            inverse = as_object(desc["inverse"], f"maps[{i}].inverse")
+            g = build_map(doc, {**inverse, "domain": desc.get("codomain"), "codomain": desc.get("domain")})
             ev = is_ls_equivalence(f, g)
             report.add(f"  map {i}: equivalence with inverse: {ev}")
             report.payload.append({"map": i, "equivalence": ev.to_json()})

@@ -149,6 +149,20 @@ def _list(value: Any, name: str) -> list:
     return value
 
 
+def objects(value: Any, name: str) -> list[dict]:
+    """A list of objects; anything else is a schema error naming ``name``."""
+    items = _list(value, name)
+    for i, item in enumerate(items):
+        as_object(item, f"{name}[{i}]")
+    return items
+
+
+def as_object(value: Any, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be an object, not {value!r}")
+    return value
+
+
 def _subset(universe: Universe, labels: list[str]) -> Subset:
     """A list of element labels; a string is not read one character at a time."""
     return universe.subset(_list(labels, "a set of labels"))
@@ -235,18 +249,26 @@ def _pair(value: Any) -> tuple[str, str]:
 
 def build_cover(doc: InstanceDocument, desc: dict) -> Cover:
     if "rule" in desc:
-        return Cover.from_rule(desc["rule"])
+        try:
+            return Cover.from_rule(desc["rule"])
+        except ValueError as e:  # an unknown rule
+            raise SchemaError(str(e)) from None
     if "members" in desc:
         universe = doc.universe()
         return Cover.explicit([_subset(universe, s) for s in desc["members"]])
     if "line_members" in desc:
-        return Cover.of_line_sets([ls.lineset_from_json(s) for s in desc["line_members"]])
+        return Cover.of_line_sets(build_line_sets(desc["line_members"]))
     raise SchemaError("cover needs a rule, members, or line_members")
 
 
 def build_map(doc: InstanceDocument, desc: dict):
     if "rule" in desc:
         return _line_map(desc)
+    for key in ("domain", "codomain", "table"):
+        if key not in desc:
+            raise SchemaError(
+                f"a map needs a rule, or a domain, codomain and table; it has no {key!r}"
+            )
     domain = build_backend(doc, doc.structure(desc["domain"]))
     codomain = build_backend(doc, doc.structure(desc["codomain"]))
     if not isinstance(domain, FiniteBackend) or not isinstance(codomain, FiniteBackend):
@@ -256,11 +278,27 @@ def build_map(doc: InstanceDocument, desc: dict):
 
 def _line_map(desc: dict) -> LineMap:
     rule = desc["rule"]
-    if rule == "affine":
-        return LineMap.affine(int(desc["a"]), int(desc.get("b", 0)))
-    if rule == "floor-div":
-        return LineMap.floor_div(int(desc["d"]))
+    try:
+        if rule == "affine":
+            return LineMap.affine(_parameter(desc, "a"), _parameter(desc, "b", 0))
+        if rule == "floor-div":
+            return LineMap.floor_div(_parameter(desc, "d"))
+    except ValueError as e:  # a missing or unreadable parameter, or one the rule refuses
+        raise SchemaError(f"{rule} map: {e}") from None
     raise SchemaError(f"unknown map rule {rule!r}")
+
+
+def _parameter(desc: dict, key: str, default: int | None = None) -> int:
+    """``int(desc[key])``, as a map rule reads it; a missing or unreadable
+    value is a ``ValueError`` naming the key."""
+    if key not in desc:
+        if default is None:
+            raise ValueError(f"no {key!r}")
+        return default
+    try:
+        return int(desc[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be an integer, not {desc[key]!r}") from None
 
 
 def build_line_sets(descs: list[dict]) -> list[ls.LineSet]:

@@ -450,10 +450,17 @@ def _sparsify_fields(
     return window, field, halves[0], halves[1]
 
 
+def _need(doc: dict, key: str):
+    """``doc[key]``; a missing key is a ``LineSetError`` naming it."""
+    if key not in doc:
+        raise LineSetError(f"{doc.get('kind')} set has no {key!r}")
+    return doc[key]
+
+
 def lineset_from_json(doc: dict) -> LineSet:
     kind = doc.get("kind")
     if kind == "finite":
-        return FiniteSet(tuple(doc["elements"]))
+        return FiniteSet(tuple(_need(doc, "elements")))
     if kind == "periodic":
         return PeriodicSet(
             tuple(doc.get("finite", ())),
@@ -461,10 +468,10 @@ def lineset_from_json(doc: dict) -> LineSet:
             tuple(doc.get("removals", ())),
         )
     if kind == "geometric":
-        return GeometricSet(doc["m"], doc["b"], doc["k0"])
+        return GeometricSet(_need(doc, "m"), _need(doc, "b"), _need(doc, "k0"))
     if kind == "blocks":
         return BlocksSet(
-            doc["rule"],
+            _need(doc, "rule"),
             tuple(doc.get("ints", ())),
             tuple(lineset_from_json(s) for s in doc.get("sets", ())),
             tuple(doc.get("gaps", ("divergent",))),

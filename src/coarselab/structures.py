@@ -455,17 +455,6 @@ class ExplicitNearness:
         t[list(self.keys)] = True
         self._table = t
 
-    @classmethod
-    def from_predicate(
-        cls,
-        universe: Universe,
-        near: Callable[[int], bool],
-        closure: tuple[int, ...] | None = None,
-    ) -> "ExplicitNearness":
-        m = _slots(universe)
-        keys = [key for key in range(1 << m) if near(key)]
-        return cls(universe, keys, closure)
-
     def is_near_key(self, key: int) -> bool:
         return bool(self._table[key])
 

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own window-bound reasoning: they
 scan wide windows with plain bisect arithmetic so that agreement with
 the exact engines is meaningful.  The finite-tier oracles work on Python
-sets of family keys, one key and one pair at a time.
+sets of family keys, one key and one pair at a time.  The module ends
+with helpers that are not oracles: test-side constructors and the
+seeded map sweeps of acceptance criterion 7.
 """
 
 from __future__ import annotations
@@ -12,16 +14,19 @@ import itertools
 import random
 from bisect import bisect_left
 from math import lcm
+from typing import Callable, Iterable
 
 import numpy as np
 
 from coarselab import _bitops as bo
-from coarselab.backends import MetricLineBackend, NearnessQuery, nearness_of
+from coarselab.backends import MetricLineBackend, NearnessQuery, PartitionCoarseBackend, nearness_of
 from coarselab import lineset as ls
 from coarselab.lineset import PeriodicSet, _cushion, _distances_to, _padded_window
+from coarselab.maps import ExplicitMap, is_ls_equivalence
+from coarselab.mining import all_partitions, universe_of_size
 from coarselab.nearness_lab import BunchObstruction, ObstructionBudgetExhausted, ScaleCheck
 from coarselab.setcore import Family, Subset, Universe
-from coarselab.structures import ExplicitLSR, _two_part_splits
+from coarselab.structures import ExplicitLSR, ExplicitNearness, _two_part_splits
 from coarselab.verdict import TriVerdict
 
 
@@ -385,3 +390,60 @@ def _covers(k1: int, k2: int, fam_key: int) -> bool:
         if not ok:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Test-side constructors and the equivalence sweeps
+# ---------------------------------------------------------------------------
+
+
+def partition_backend(universe: Universe, blocks: Iterable[Iterable[str]]) -> PartitionCoarseBackend:
+    """The partition backend whose blocks are given as lists of labels."""
+    return PartitionCoarseBackend(universe, [universe.subset(b).mask for b in blocks])
+
+
+def nearness_from_predicate(
+    universe: Universe, near: Callable[[int], bool], closure: tuple[int, ...] | None = None
+) -> ExplicitNearness:
+    """The explicit nearness whose near family keys are those ``near`` accepts."""
+    keys = [key for key in range(1 << (1 << universe.size)) if near(key)]
+    return ExplicitNearness(universe, keys, closure)
+
+
+def enumerated_equivalences(max_size: int):
+    """(d, c) once for each pair of table maps f: d -> c and g: c -> d that
+    verifies as an equivalence, d and c partition backends of 1 to
+    ``max_size`` points."""
+    for n1 in range(1, max_size + 1):
+        for n2 in range(1, max_size + 1):
+            u1, u2 = universe_of_size(n1), universe_of_size(n2)
+            for b1 in all_partitions(u1):
+                for b2 in all_partitions(u2):
+                    d = PartitionCoarseBackend(u1, b1)
+                    c = PartitionCoarseBackend(u2, b2)
+                    for t1 in itertools.product(range(n2), repeat=n1):
+                        for t2 in itertools.product(range(n1), repeat=n2):
+                            if is_ls_equivalence(ExplicitMap(d, c, t1), ExplicitMap(c, d, t2)).is_yes:
+                                yield d, c
+
+
+def random_equivalences(rng: random.Random, universe: Universe, count: int):
+    """(d, c) for each seeded permutation d -> c whose inverse makes it an
+    equivalence, d and c seeded partition backends of ``universe``; at
+    most ``count`` pairs within 4000 draws."""
+    n = universe.size
+    parts = list(all_partitions(universe))
+    verified = 0
+    for _ in range(4000):
+        if verified == count:
+            return
+        d = PartitionCoarseBackend(universe, parts[rng.randrange(len(parts))])
+        c = PartitionCoarseBackend(universe, parts[rng.randrange(len(parts))])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        if is_ls_equivalence(ExplicitMap(d, c, tuple(perm)), ExplicitMap(c, d, tuple(inv))).is_yes:
+            verified += 1
+            yield d, c

@@ -12,7 +12,6 @@ through the independent query path.
 """
 
 import hashlib
-import itertools
 import random
 import time
 
@@ -35,7 +34,7 @@ from coarselab.dimension import (
     asr_uniformly_bounded,
     is_uniformly_bounded,
 )
-from coarselab.maps import ExplicitMap, LineMap, is_ls_equivalence
+from coarselab.maps import LineMap, is_ls_equivalence
 from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
 from coarselab.nearness_lab import bunch_obstruction, cluster_extension_contrast
 from coarselab.setcore import Family, Universe, vee
@@ -51,7 +50,14 @@ from coarselab.structures import (
 )
 
 from digests import GOLDEN_DIR, golden_digest
-from oracles import brute_hausdorff, bunch_families, line_product_pairs, random_periodic
+from oracles import (
+    brute_hausdorff,
+    bunch_families,
+    enumerated_equivalences,
+    line_product_pairs,
+    random_equivalences,
+    random_periodic,
+)
 
 U3 = Universe.of("a", "b", "c")
 U4 = Universe.of("a", "b", "c", "d")
@@ -489,40 +495,15 @@ def test_criterion_6i_lsr_ub_implies_asr_ub():
 
 def test_criterion_7_equivalence_invariance():
     verified = 0
-    for n1 in range(1, 4):
-        for n2 in range(1, 4):
-            u1, u2 = universe_of_size(n1), universe_of_size(n2)
-            for b1 in all_partitions(u1):
-                for b2 in all_partitions(u2):
-                    d = PartitionCoarseBackend(u1, b1)
-                    c = PartitionCoarseBackend(u2, b2)
-                    for t1 in itertools.product(range(n2), repeat=n1):
-                        for t2 in itertools.product(range(n1), repeat=n2):
-                            f = ExplicitMap(d, c, t1)
-                            g = ExplicitMap(c, d, t2)
-                            if is_ls_equivalence(f, g).is_yes:
-                                assert asdim_explicit(d).value == asdim_explicit(c).value
-                                verified += 1
+    for d, c in enumerated_equivalences(3):
+        assert asdim_explicit(d).value == asdim_explicit(c).value
+        verified += 1
     assert verified > 50
 
-    rng = random.Random(2026)
-    parts = list(all_partitions(U4))
     random_verified = 0
-    attempts = 0
-    while random_verified < 50 and attempts < 4000:
-        attempts += 1
-        d = PartitionCoarseBackend(U4, parts[rng.randrange(len(parts))])
-        c = PartitionCoarseBackend(U4, parts[rng.randrange(len(parts))])
-        perm = list(range(4))
-        rng.shuffle(perm)
-        inv = [0] * 4
-        for i, p in enumerate(perm):
-            inv[p] = i
-        f = ExplicitMap(d, c, tuple(perm))
-        g = ExplicitMap(c, d, tuple(inv))
-        if is_ls_equivalence(f, g).is_yes:
-            assert asdim_explicit(d).value == asdim_explicit(c).value
-            random_verified += 1
+    for d, c in random_equivalences(random.Random(2026), U4, 50):
+        assert asdim_explicit(d).value == asdim_explicit(c).value
+        random_verified += 1
     assert random_verified == 50
 
     stretch = is_ls_equivalence(LineMap.affine(2, 0), LineMap.floor_div(2))

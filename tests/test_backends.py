@@ -35,7 +35,7 @@ from coarselab.structures import (
     is_h_nearness,
 )
 
-from oracles import first_refiner, unbounded_refiners
+from oracles import first_refiner, partition_backend, unbounded_refiners
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -61,24 +61,24 @@ def support_asr(universe: Universe, blocks) -> ExplicitASR:
 
 class TestPartitionBackend:
     def test_member_rule(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         assert pb.member(fam(U3, "a", "b")).is_yes
         assert pb.member(fam(U3, "a", "c")).is_no
 
     def test_bounded(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         assert pb.bounded(U3.subset("ab")).is_yes
         assert pb.bounded(U3.subset("ac")).is_no
         assert pb.bounded(U3.subset("")).is_yes
 
     def test_connected_iff_single_block(self):
-        assert PartitionCoarseBackend.from_labels(U3, [["a", "b", "c"]]).is_connected().is_yes
-        assert PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]]).is_connected().is_no
+        assert partition_backend(U3, [["a", "b", "c"]]).is_connected().is_yes
+        assert partition_backend(U3, [["a", "b"], ["c"]]).is_connected().is_no
 
     def test_member_axioms_exhaustive(self):
         # singleton-true, downward-monotone, product-closed on all keys
         for blocks in ([["a", "b"], ["c"]], [["a"], ["b"], ["c"]], [["a", "b", "c"]]):
-            pb = PartitionCoarseBackend.from_labels(U3, blocks)
+            pb = partition_backend(U3, blocks)
             table = pb.member_table()
             for s in range(8):
                 assert table[1 << s]
@@ -95,7 +95,7 @@ class TestPartitionBackend:
         # the per-pair mutual-reach construction equals the single-relation
         # one here, because the relation family has a maximal element
         for blocks_labels in ([["a", "b"], ["c"]], [["a"], ["b"], ["c"]], [["a", "b", "c"]]):
-            pb = PartitionCoarseBackend.from_labels(U3, blocks_labels)
+            pb = partition_backend(U3, blocks_labels)
             table = pb.member_table()
             for key in range(1 << 8):
                 masks = list(bits(key))
@@ -183,7 +183,7 @@ class TestNeighborhoods:
 
     def test_neighborhood_is_member(self):
         # every relation neighborhood is alike at large scale
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         for rows in ((3, 3, 4), (1, 2, 4), (3, 1, 4)):
             for l_mask in range(8):
                 fam_got = n_e_of_l(U3, rows, Subset(U3, l_mask))
@@ -231,7 +231,7 @@ class TestLambda:
 
 class TestInducedNearness:
     def test_partition_examples(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         assert nearness_of(NearnessQuery(pb, fam(U3, "a", "b"))).is_no
         assert nearness_of(NearnessQuery(pb, fam(U3, "a", "ab"))).is_yes
 
@@ -327,7 +327,7 @@ class TestInducedNearness:
 
     def test_h_nearness_with_closure_tables(self):
         # one-block backends against every valid closure table on 2 points
-        pb = PartitionCoarseBackend.from_labels(U2, [["a", "b"]])
+        pb = partition_backend(U2, [["a", "b"]])
         tables = []
         for cl_a in (0b01, 0b11):
             for cl_b in (0b10, 0b11):
@@ -357,7 +357,7 @@ class TestProximityOf:
     def test_explicit_discrete_closure(self):
         # one block: everything is bounded, so asymptotic disjointness is
         # vacuous and the relation reduces to intersection
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b", "c"]])
+        pb = partition_backend(U3, [["a", "b", "c"]])
         prox = proximity_of(pb)
         assert prox.near(0b001, 0b011)
         assert not prox.near(0b001, 0b010)
@@ -366,7 +366,7 @@ class TestProximityOf:
     def test_explicit_unbounded_clause(self):
         # two blocks of two: disjoint cross-block sets stay near because
         # their unbounded parts are alike
-        pb = PartitionCoarseBackend.from_labels(U4, [["a", "b"], ["c", "d"]])
+        pb = partition_backend(U4, [["a", "b"], ["c", "d"]])
         prox = proximity_of(pb)
         a = U4.subset("ac").mask
         b = U4.subset("bd").mask
@@ -385,7 +385,7 @@ class TestRegularize:
         assert regularize(c).keys == c.keys
 
     def test_contains_input_and_is_a(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         c = pb.to_explicit()
         reg = regularize(c)
         assert c.keys <= reg.keys
@@ -393,12 +393,12 @@ class TestRegularize:
         assert ok, witness
 
     def test_idempotent(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         reg = regularize(pb.to_explicit())
         assert regularize(reg).keys == reg.keys
 
     def test_identity_preserves_bounded_sets(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         c = pb.to_explicit()
         reg = regularize(c)
         assert c.bounded_mask() == reg.bounded_mask()

@@ -1,24 +1,120 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from coarselab import cli
 from coarselab.backends import PartitionCoarseBackend
-from coarselab.cli import main
+from coarselab.cli import json_text, main
 from coarselab.documents import SchemaError, load_document
 from coarselab.setcore import CapExceeded, Universe
+
+from test_golden_cli import cli_runs
 
 ROOT = Path(__file__).resolve().parent.parent
 THREE_POINT = ROOT / "instances" / "three-point.json"
 NAT_LINE = ROOT / "instances" / "nat-line.json"
+CLI_RUNS = list(cli_runs())
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+# text with quotes, backslashes, control characters, non-ASCII and lone
+# surrogates, beside whatever else hypothesis draws
+TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+        st.characters(exclude_categories=()),
+    )
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**100), 2**100),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    TEXT,
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+class TestJsonText:
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(TREES)
+    def test_matches_json_dumps(self, value):
+        assert json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), [[], {}, ()], {"a": {"b": []}}, {"z": 1, "a": (2, [3])}],
+        ids=["dict", "list", "tuple", "nested", "deep", "unsorted"],
+    )
+    def test_empty_and_nested_containers(self, value):
+        assert json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, np.int64(3), [np.int64(3)], {"k": {1}}], ids=["set", "int64", "in-list", "in-dict"]
+    )
+    def test_unserializable_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            json_text(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a", 10: "b", 9: "c"}, {2.5: 0, -1.0: 1}, {True: 0, None: 1}, {"b": 0, 3: 1}, {(1,): 0}],
+        ids=["ints", "floats", "bool-none", "mixed", "tuple"],
+    )
+    def test_non_text_keys_as_json_dumps_or_type_error(self, value):
+        try:
+            want = dumps(value)
+        except TypeError:
+            with pytest.raises(TypeError):
+                json_text(value)
+        else:
+            assert json_text(value) == want
+
+    @pytest.mark.parametrize("label, args", CLI_RUNS, ids=[label for label, _ in CLI_RUNS])
+    def test_golden_invocations_render_as_json_dumps(self, monkeypatch, label, args):
+        # each run renders its report once, or not at all on a schema error
+        values = []
+
+        def spy(value):
+            values.append(value)
+            return json_text(value)
+
+        monkeypatch.setattr(cli, "json_text", spy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(args)
+        assert len(values) <= 1
+        for value in values:
+            assert json_text(value) == dumps(value), label
 
 
 class TestSchema:
@@ -209,6 +305,85 @@ class TestBunch:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("schema error: ")
+
+
+def _set(path, value):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+def _delete(path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+
+    return edit
+
+
+# (command, edit of the line document, the schema error it gives): each
+# edit once ended in a traceback, or in the bare text of a KeyError
+LINE_DOCUMENT_EDITS = {
+    "bunch-queries-string": (
+        "bunch", _set(["queries", "bunch"], "zz"), "queries.bunch must be a list, not 'zz'"
+    ),
+    "bunch-query-string": (
+        "bunch", _set(["queries", "bunch", 0], "zz"), "queries.bunch[0] must be an object, not 'zz'"
+    ),
+    "maps-string": ("map", _set(["maps"], "zz"), "maps must be a list, not 'zz'"),
+    "map-string": ("map", _set(["maps", 0], "zz"), "maps[0] must be an object, not 'zz'"),
+    "map-a-string": ("map", _set(["maps", 0, "a"], "zz"), "affine map: 'a' must be an integer, not 'zz'"),
+    "map-a-list": ("map", _set(["maps", 0, "a"], []), "affine map: 'a' must be an integer, not []"),
+    "map-a-negative": (
+        "map", _set(["maps", 0, "a"], -1), "affine map: affine maps keep the naturals nonnegative"
+    ),
+    "inverse-list": ("map", _set(["maps", 0, "inverse"], []), "maps[0].inverse must be an object, not []"),
+    "inverse-d-zero": (
+        "map", _set(["maps", 0, "inverse", "d"], 0), "floor-div map: divisor must be positive"
+    ),
+    "cover-rule-unknown": ("asdim", _set(["covers", 0, "rule"], "zz"), "unknown cover rule 'zz'"),
+    "cover-rule-list": ("asdim", _set(["covers", 0, "rule"], []), "unknown cover rule []"),
+    "no-map-rule": (
+        "map",
+        _delete(["maps", 0, "rule"]),
+        "a map needs a rule, or a domain, codomain and table; it has no 'domain'",
+    ),
+    "no-inverse-d": ("map", _delete(["maps", 0, "inverse", "d"]), "floor-div map: no 'd'"),
+    "no-map-a": ("map", _delete(["maps", 0, "a"]), "affine map: no 'a'"),
+    "no-bunch-sets": ("bunch", _delete(["queries", "bunch", 0, "sets"]), "bunch query 0 has no 'sets'"),
+    "no-finite-elements": (
+        "near",
+        _delete(["queries", "near", 1, "sets", 0, "elements"]),
+        "set 0: finite set has no 'elements'",
+    ),
+}
+
+
+class TestLineDocumentFields:
+    @pytest.mark.parametrize("kind", sorted(LINE_DOCUMENT_EDITS))
+    def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, kind):
+        # an exception escaping main would be a traceback at the command line
+        command, edit, message = LINE_DOCUMENT_EDITS[kind]
+        doc = json.loads(NAT_LINE.read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--window", "2000"]) == 2
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+
+    def test_map_parameters_read_as_integers(self, tmp_path, capsys):
+        # int() reads a parameter, so a numeric string still gives the map
+        doc = json.loads(NAT_LINE.read_text())
+        doc["maps"][0]["a"] = "2"
+        path = tmp_path / "string-a.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["map", str(path)], capsys)
+        assert code == 0
+        assert "equivalence with inverse: yes" in out
 
 
 # edits of the three-point document's structure that put a string, or

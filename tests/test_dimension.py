@@ -26,6 +26,8 @@ from coarselab.mining import all_partitions, random_lsr
 from coarselab.setcore import CapExceeded, Family, Universe
 from coarselab.structures import ExplicitLSR
 
+from oracles import partition_backend
+
 U3 = Universe.of("a", "b", "c")
 U4 = Universe.of("a", "b", "c", "d")
 
@@ -72,7 +74,7 @@ class TestUniformBoundedness:
             assert is_uniformly_bounded(cover, pb).is_yes
 
     def test_explicit_witness(self):
-        pb = PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]])
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
         cover = Cover.explicit([U3.subset("ac"), U3.subset("b")])
         v = is_uniformly_bounded(cover, pb)
         assert v.is_no and v.witness["subfamily"] == ["{a,c}"]
@@ -310,11 +312,11 @@ class TestGreedyCoarsening:
 
 class TestAsdimExplicit:
     def test_one_block(self):
-        report = asdim_explicit(PartitionCoarseBackend.from_labels(U4, [["a", "b", "c", "d"]]))
+        report = asdim_explicit(partition_backend(U4, [["a", "b", "c", "d"]]))
         assert report.value == 0
 
     def test_two_blocks(self):
-        report = asdim_explicit(PartitionCoarseBackend.from_labels(U3, [["a", "b"], ["c"]]))
+        report = asdim_explicit(partition_backend(U3, [["a", "b"], ["c"]]))
         assert report.value == 0
         assert report.certificates
 
@@ -324,7 +326,7 @@ class TestAsdimExplicit:
         assert report.uniformly_bounded_covers == 1
 
     def test_certificates_verify(self):
-        report = asdim_explicit(PartitionCoarseBackend.from_labels(U4, [["a", "b"], ["c", "d"]]))
+        report = asdim_explicit(partition_backend(U4, [["a", "b"], ["c", "d"]]))
         for cert in report.certificates:
             assert cert.multiplicity <= report.value + 1
 

@@ -23,7 +23,7 @@ GOLDEN = GOLDEN_DIR / "cli.sha256"
 INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
 
 
-def _runs():
+def cli_runs():
     for command in ("check", "asdim", "near", "bunch", "map"):
         for path in INSTANCES:
             yield f"{command} {path.name}", [command, str(path), "--json"]
@@ -32,7 +32,7 @@ def _runs():
 
 
 def cli_records():
-    for label, args in _runs():
+    for label, args in cli_runs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)

@@ -3,7 +3,6 @@ import random
 
 from coarselab import lineset as ls
 from coarselab.backends import PartitionCoarseBackend
-from coarselab.dimension import asdim_explicit
 from coarselab.maps import (
     ExplicitMap,
     LineMap,
@@ -14,13 +13,11 @@ from coarselab.maps import (
 from coarselab.mining import all_partitions, universe_of_size
 from coarselab.setcore import Universe
 
+from oracles import partition_backend
+
 U1 = Universe.of("p")
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
-
-
-def partition_backend(universe, blocks_labels):
-    return PartitionCoarseBackend.from_labels(universe, blocks_labels)
 
 
 class TestLineMapImages:
@@ -160,50 +157,3 @@ class TestEquivalence:
             if table[comp.image_key(key)]:
                 assert table[key]
 
-
-class TestEquivalenceInvariance:
-    def enumerate_verified_pairs(self, max_size: int):
-        for n1 in range(1, max_size + 1):
-            for n2 in range(1, max_size + 1):
-                u1, u2 = universe_of_size(n1), universe_of_size(n2)
-                for b1 in all_partitions(u1):
-                    for b2 in all_partitions(u2):
-                        d = PartitionCoarseBackend(u1, b1)
-                        c = PartitionCoarseBackend(u2, b2)
-                        for t1 in itertools.product(range(n2), repeat=n1):
-                            for t2 in itertools.product(range(n1), repeat=n2):
-                                f = ExplicitMap(d, c, t1)
-                                g = ExplicitMap(c, d, t2)
-                                yield d, c, f, g
-
-    def test_enumerated_pairs_up_to_size_three(self):
-        verified = 0
-        for d, c, f, g in self.enumerate_verified_pairs(3):
-            if is_ls_equivalence(f, g).is_yes:
-                assert asdim_explicit(d).value == asdim_explicit(c).value
-                verified += 1
-        assert verified > 50
-
-    def test_randomized_size_four_pairs(self):
-        rng = random.Random(2026)
-        u = universe_of_size(4)
-        parts = list(all_partitions(u))
-        verified = 0
-        attempts = 0
-        while verified < 50 and attempts < 4000:
-            attempts += 1
-            b1 = parts[rng.randrange(len(parts))]
-            b2 = parts[rng.randrange(len(parts))]
-            d = PartitionCoarseBackend(u, b1)
-            c = PartitionCoarseBackend(u, b2)
-            perm = list(range(4))
-            rng.shuffle(perm)
-            f = ExplicitMap(d, c, tuple(perm))
-            inv = [0] * 4
-            for i, p in enumerate(perm):
-                inv[p] = i
-            g = ExplicitMap(c, d, tuple(inv))
-            if is_ls_equivalence(f, g).is_yes:
-                assert asdim_explicit(d).value == asdim_explicit(c).value
-                verified += 1
-        assert verified == 50

@@ -31,7 +31,7 @@ from coarselab.structures import (
     validate_closure_table,
 )
 
-from oracles import is_ls_regular_reference
+from oracles import is_ls_regular_reference, nearness_from_predicate
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -211,7 +211,7 @@ class TestNearness:
         assert check_nearness_axioms(topological_nearness(U3)).passed
 
     def test_avoid_empty_collection_is_near_structure(self):
-        n = ExplicitNearness.from_predicate(U3, lambda key: key & 1 == 0)
+        n = nearness_from_predicate(U3, lambda key: key & 1 == 0)
         assert check_nearness_axioms(n).passed
 
     def test_empty_collection_fails_common_point(self):
