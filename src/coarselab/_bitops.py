@@ -5,20 +5,26 @@ subsets is a key in [0, 2^(2^n)) whose bit ``s`` says that the subset
 with mask ``s`` is a member.  For n <= 4 whole collections of families
 fit in arrays of 65536 entries over m = 2^n subset slots.
 
-Every gathering pass over such an array is one sweep: for each bit t,
-``_halves`` pairs each key without bit t (``lo``) with the key that adds
-it (``hi``), as two views of the same array.  The views pair whole
-machine words: a bool table read as 2^k-byte words (k = min(t, 3))
-holds 2^k consecutive keys per word, so bits 0 to 3 pair neighbouring
-1-, 2-, 4- or 8-byte words and no row is shorter than one word; OR on
-words is OR on the 0/1 bytes inside them.  Pushing ``lo`` into ``hi``
-over all bits is the subset-sum (zeta) transform of Yates (1937), which
-gathers over submasks (``or_has_submask``); pushing ``hi`` into ``lo``
-is its mirror, which gathers over supermasks (``down_closure``).  One
-step in either direction compares a key with its one-bit neighbours
-(``maximal_keys``, ``minimal_keys``).  Folding a value per bit over a
-key's members (``fold_or``, ``fold_and``) needs no pairing: it fills
-the table in doubling blocks, each key from the key without its top bit.
+The sweep kernels work on the table packed 64 keys to a word: key k is
+bit k % 64 of ``uint64`` word k // 64 (``np.packbits`` in little bit
+order, viewed as little-endian words), and a table of fewer than 64
+keys is zero-padded into one word.  A gathering pass over such a table
+is one sweep: for each bit t it pairs each key without bit t (``lo``)
+with the key that adds it (``hi``).  For t < 6 both keys sit in the
+same word, 2^t bit positions apart, so one shift and the constant mask
+of the positions without bit t (``0x5555...`` for t = 0, ``0x3333...``
+for t = 1, up to ``0x00000000FFFFFFFF`` for t = 5) line each ``hi`` bit
+up with its ``lo`` bit.  For t >= 6 the pairs are whole words, read as
+two views of the word array.  Pushing ``lo`` into ``hi`` over all bits
+is the subset-sum (zeta) transform of Yates (1937), which gathers over
+submasks (``or_has_submask``); pushing ``hi`` into ``lo`` is its
+mirror, which gathers over supermasks (``down_closure``).  One step in
+either direction compares a key with its one-bit neighbours
+(``maximal_keys``, ``minimal_keys``).  The kernels take and return bool
+tables, packing on the way in and unpacking on the way out, and never
+write into their input.  Folding a value per bit over a key's members
+(``fold_or``, ``fold_and``) needs no pairing: it fills an ``int64``
+table in doubling blocks, each key from the key without its top bit.
 
 The pairwise-union product of two families is computed a block of pairs
 at a time: ``vee_images`` gives, per slot s, the product of {s} with each
@@ -36,15 +42,48 @@ import numpy as np
 PAIR_BLOCK = 1 << 16
 
 
-def _halves(a: np.ndarray, m: int):
-    """For each bit t < m, word views (lo, hi) of the contiguous bool
-    array ``a`` over the keys without and with bit t, paired by
-    ``key ^ (1 << t)``.  Kernels write only into arrays they allocated,
-    so the views always alias ``a``."""
+# (shift, mask of the bit positions without bit t) for the bits t < 6
+# that pair keys inside one word
+_IN_WORD = [
+    (np.uint64(1 << t), np.uint64(sum(1 << p for p in range(64) if not p >> t & 1)))
+    for t in range(6)
+]
+
+
+def _pack(table: np.ndarray) -> np.ndarray:
+    """The bool table as uint64 words, 64 keys to a word, at least one word."""
+    packed = np.packbits(table, bitorder="little")
+    if packed.size < 8:
+        packed = np.concatenate([packed, np.zeros(8 - packed.size, np.uint8)])
+    return packed.view("<u8")
+
+
+def _unpack(words: np.ndarray, m: int) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), count=1 << m, bitorder="little").view(bool)
+
+
+def _push_up(dst: np.ndarray, src: np.ndarray, m: int) -> None:
+    """For t = 0..m-1 in turn, dst[hi] |= src[lo] over the pairs of bit t."""
     for t in range(m):
-        k = min(t, 3)
-        v = a.view(f"u{1 << k}").reshape(-1, 2, 1 << (t - k))
-        yield v[:, 0], v[:, 1]
+        if t < 6:
+            shift, lo = _IN_WORD[t]
+            dst |= (src & lo) << shift
+        else:
+            half = 1 << (t - 6)
+            d, v = dst.reshape(-1, 2 * half), src.reshape(-1, 2 * half)
+            d[:, half:] |= v[:, :half]
+
+
+def _push_down(dst: np.ndarray, src: np.ndarray, m: int) -> None:
+    """For t = 0..m-1 in turn, dst[lo] |= src[hi] over the pairs of bit t."""
+    for t in range(m):
+        if t < 6:
+            shift, lo = _IN_WORD[t]
+            dst |= (src >> shift) & lo
+        else:
+            half = 1 << (t - 6)
+            d, v = dst.reshape(-1, 2 * half), src.reshape(-1, 2 * half)
+            d[:, :half] |= v[:, half:]
 
 
 def fold_or(m: int, values: list[int]) -> np.ndarray:
@@ -71,37 +110,34 @@ def _fold(op, m: int, values: list[int], init: int) -> np.ndarray:
 
 def or_has_submask(flag: np.ndarray, m: int) -> np.ndarray:
     """g[U] = any(flag[V] for V submask of U), by the subset-sum sweep."""
-    g = flag.copy()
-    for lo, hi in _halves(g, m):
-        hi |= lo
-    return g
+    g = _pack(flag)
+    _push_up(g, g, m)
+    return _unpack(g, m)
 
 
 def down_closure(keys, m: int) -> np.ndarray:
     """Boolean table of every submask of the given keys."""
     table = np.zeros(1 << m, dtype=bool)
     table[keys] = True
-    for lo, hi in _halves(table, m):
-        lo |= hi
-    return table
+    closed = _pack(table)
+    _push_down(closed, closed, m)
+    return _unpack(closed, m)
 
 
 def maximal_keys(member: np.ndarray, m: int) -> np.ndarray:
     """Boolean mask of members with no one-bit-larger member."""
-    member = np.ascontiguousarray(member)
-    dominated = np.zeros_like(member)
-    for (lo, _), (_, bigger) in zip(_halves(dominated, m), _halves(member, m)):
-        lo |= bigger
-    return member & ~dominated
+    words = _pack(member)
+    dominated = np.zeros_like(words)
+    _push_down(dominated, words, m)
+    return _unpack(words & ~dominated, m)
 
 
 def minimal_keys(flag: np.ndarray, m: int) -> np.ndarray:
     """Boolean mask of flagged keys with no one-bit-smaller flagged key."""
-    flag = np.ascontiguousarray(flag)
-    dominated = np.zeros_like(flag)
-    for (_, hi), (smaller, _) in zip(_halves(dominated, m), _halves(flag, m)):
-        hi |= smaller
-    return flag & ~dominated
+    words = _pack(flag)
+    dominated = np.zeros_like(words)
+    _push_up(dominated, words, m)
+    return _unpack(words & ~dominated, m)
 
 
 def submasks(mask: int):

@@ -254,7 +254,7 @@ def cmd_asdim(args) -> int:
                 report.failed = True
         else:
             report.add(f"  {name}: no dimension procedure for {kind}")
-    for i, cdesc in enumerate(doc.covers):
+    for i, cdesc in enumerate(objects(doc.covers, "covers")):
         cover = build_cover(doc, cdesc)
         cname = cdesc.get("name", f"cover-{i}")
         for desc in doc.structures:
@@ -278,7 +278,7 @@ def cmd_near(args) -> int:
     queries = doc.queries.get("near", [])
     if not queries:
         raise SchemaError("document has no near queries")
-    for i, q in enumerate(queries):
+    for i, q in enumerate(objects(queries, "queries.near")):
         if "sets" in q:
             backend = _line_backend(doc, q)
             sets = build_line_sets(q["sets"])

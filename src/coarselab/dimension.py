@@ -12,6 +12,7 @@ windowed brute force in the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -372,39 +373,15 @@ def asdim_explicit(b: FiniteBackend) -> AsdimReport:
     to test refinement for maximal uniformly bounded covers.
     """
     universe = b.universe
-    n_pts = universe.size
-    m = 1 << n_pts
-    slots = m - 1  # nonempty subsets, bit s-1 for subset mask s
-    size = 1 << slots
-    idx = np.arange(size, dtype=np.int64)
+    m = 1 << universe.size
+    slots = m - 1
+    tkey, is_cover, down, mult = _universe_tables(universe.size)
 
-    union = bo.fold_or(slots, list(range(1, m)))
-
-    # tkey[F]: key of the nonempty sets inside F's union that meet every member
-    meets = [sum(1 << a for a in range(1, m) if a & s) for s in range(1, m)]
-    inside = np.array([sum(1 << a for a in bo.submasks(u) if a) for u in range(m)])
-    tkey = bo.fold_and(slots, meets, (1 << m) - 2) & inside[union]
     t_ok = b.member_table()[tkey]
     t_ok[0] = True  # empty subfamily is outside the quantifier
 
     ub = ~bo.or_has_submask(~t_ok, slots)
-
-    full = m - 1
-    is_cover = union == full
     ub_covers = ub & is_cover
-
-    sub_bits = [
-        sum(1 << (a - 1) for a in range(1, m) if a & ~s == 0) for s in range(1, m)
-    ]
-    down = bo.fold_or(slots, sub_bits)
-
-    mult = np.zeros(size, dtype=np.int64)
-    for x in range(n_pts):
-        contain = 0
-        for s in range(1, m):
-            if s >> x & 1:
-                contain |= 1 << (s - 1)
-        mult = np.maximum(mult, np.bitwise_count(idx & contain))
 
     maximal = bo.maximal_keys(ub, slots) & is_cover
     maximal_list = [int(k) for k in np.nonzero(maximal)[0]]
@@ -445,6 +422,50 @@ def asdim_explicit(b: FiniteBackend) -> AsdimReport:
         if good:
             return AsdimReport(n, total_ub_covers, tuple(certs))
     raise AssertionError("a uniformly bounded cover refines itself; unreachable")
+
+
+@functools.lru_cache(maxsize=None)
+def _universe_tables(n_pts: int) -> tuple[np.ndarray, ...]:
+    """The tables of ``asdim_explicit`` that depend on the universe size
+    alone, indexed by subfamily key F over the 2^n - 1 nonempty subsets
+    (bit s-1 for subset mask s), read-only and in the narrowest dtypes
+    that hold them:
+
+    - tkey[F]: key of the nonempty sets inside F's union that meet every
+      member of F;
+    - is_cover[F]: F's union is the whole universe;
+    - down[F]: key of the subfamily of every nonempty subset of a member;
+    - mult[F]: the most members of F that one point lies in, at most
+      2^(n-1).
+    """
+    m = 1 << n_pts
+    slots = m - 1
+    union = bo.fold_or(slots, list(range(1, m)))
+
+    meets = [sum(1 << a for a in range(1, m) if a & s) for s in range(1, m)]
+    inside = np.array([sum(1 << a for a in bo.submasks(u) if a) for u in range(m)])
+    tkey = bo.fold_and(slots, meets, (1 << m) - 2) & inside[union]
+
+    sub_bits = [
+        sum(1 << (a - 1) for a in range(1, m) if a & ~s == 0) for s in range(1, m)
+    ]
+    down = bo.fold_or(slots, sub_bits)
+
+    idx = np.arange(1 << slots, dtype=np.int64)
+    mult = np.zeros(1 << slots, dtype=np.int64)
+    for x in range(n_pts):
+        contain = sum(1 << (s - 1) for s in range(1, m) if s >> x & 1)
+        mult = np.maximum(mult, np.bitwise_count(idx & contain))
+
+    tables = (
+        tkey.astype(np.min_scalar_type((1 << m) - 1)),
+        union == m - 1,
+        down.astype(np.min_scalar_type((1 << slots) - 1)),
+        mult.astype(np.min_scalar_type(1 << (n_pts - 1))),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,13 @@ def as_object(value: Any, name: str) -> dict:
     return value
 
 
+def _field(desc: dict, key: str) -> Any:
+    """``desc[key]``; a missing key is a schema error naming the structure."""
+    if key not in desc:
+        raise SchemaError(f"{desc['type']} structure has no {key!r}")
+    return desc[key]
+
+
 def _subset(universe: Universe, labels: list[str]) -> Subset:
     """A list of element labels; a string is not read one character at a time."""
     return universe.subset(_list(labels, "a set of labels"))
@@ -180,7 +187,7 @@ def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
         return ExplicitBackend(ExplicitLSR.from_generators(universe, gens))
     if kind == "partition":
         universe = doc.universe()
-        blocks = [_subset(universe, b).mask for b in _list(desc["blocks"], "partition blocks")]
+        blocks = [_subset(universe, b).mask for b in _list(_field(desc, "blocks"), "partition blocks")]
         try:
             return PartitionCoarseBackend(universe, blocks)
         except ValueError as e:  # blocks that miss or repeat an element
@@ -199,7 +206,7 @@ def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
 def build_asr(doc: InstanceDocument, desc: dict) -> ExplicitASR:
     universe = doc.universe()
     blocks = [
-        [_subset(universe, labels).mask for labels in block] for block in desc["blocks"]
+        [_subset(universe, labels).mask for labels in block] for block in _field(desc, "blocks")
     ]
     return ExplicitASR.from_blocks(universe, blocks)
 
@@ -215,7 +222,7 @@ def build_nearness(doc: InstanceDocument, desc: dict) -> ExplicitNearness:
         )
     else:
         raise SchemaError(f'closure must be "discrete" or an object, not {closure!r}')
-    keys = [_family(universe, fam).mask_key() for fam in desc["near"]]
+    keys = [_family(universe, fam).mask_key() for fam in _field(desc, "near")]
     return ExplicitNearness(universe, keys, table)
 
 
@@ -223,6 +230,8 @@ def build_proximity(doc: InstanceDocument, desc: dict) -> ExplicitProximity:
     universe = doc.universe()
     if desc.get("rule") == "discrete":
         return ExplicitProximity.discrete(universe)
+    if "pairs" not in desc:
+        raise SchemaError('proximity structure has no \'pairs\' and no "discrete" rule')
     pairs = {
         (_subset(universe, a).mask, _subset(universe, b).mask)
         for a, b in desc["pairs"]
@@ -273,7 +282,11 @@ def build_map(doc: InstanceDocument, desc: dict):
     codomain = build_backend(doc, doc.structure(desc["codomain"]))
     if not isinstance(domain, FiniteBackend) or not isinstance(codomain, FiniteBackend):
         raise SchemaError("table maps need finite structures")
-    return ExplicitMap.from_labels(domain, codomain, desc["table"])
+    table = as_object(desc["table"], "a map table")
+    missing = [x for x in domain.universe.elements if x not in table]
+    if missing:
+        raise SchemaError(f"map table has no label {missing[0]!r}")
+    return ExplicitMap.from_labels(domain, codomain, table)
 
 
 def _line_map(desc: dict) -> LineMap:

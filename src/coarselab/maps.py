@@ -298,9 +298,10 @@ def displacement_bound(f: LineMap, window: int = SAMPLE_WINDOW) -> TriVerdict:
 def is_ls_equivalence(f: SpaceMap, g: SpaceMap) -> TriVerdict:
     """Mutual inverses up to largeness: composites must absorb into
     member families in both directions."""
-    fv, gv = is_lsr_map(f), is_lsr_map(g)
+    fv = is_lsr_map(f)
     if not fv.is_yes:
         return TriVerdict.no(reason="forward-not-structure-map", inner=dict(fv.witness))
+    gv = is_lsr_map(g)
     if not gv.is_yes:
         return TriVerdict.no(reason="backward-not-structure-map", inner=dict(gv.witness))
     if isinstance(f, ExplicitMap) and isinstance(g, ExplicitMap):
@@ -324,9 +325,7 @@ def _check_absorption_explicit(
 
 
 def _is_equivalence_explicit(f: ExplicitMap, g: ExplicitMap) -> TriVerdict:
-    gf = g.compose(f)
-    fg = f.compose(g)
-    bad = _check_absorption_explicit(gf, f.domain)
+    bad = _check_absorption_explicit(g.compose(f), f.domain)
     if bad is not None:
         return TriVerdict.no(
             reason="roundtrip-not-absorbed",
@@ -334,7 +333,7 @@ def _is_equivalence_explicit(f: ExplicitMap, g: ExplicitMap) -> TriVerdict:
             family=str(Family.from_mask_key(f.domain.universe, bad[0])),
             composite_image=str(Family.from_mask_key(f.domain.universe, bad[1])),
         )
-    bad = _check_absorption_explicit(fg, f.codomain)
+    bad = _check_absorption_explicit(f.compose(g), f.codomain)
     if bad is not None:
         return TriVerdict.no(
             reason="roundtrip-not-absorbed",
@@ -346,10 +345,11 @@ def _is_equivalence_explicit(f: ExplicitMap, g: ExplicitMap) -> TriVerdict:
 
 
 def _is_equivalence_line(f: LineMap, g: LineMap) -> TriVerdict:
-    gf, fg = g.compose(f), f.compose(g)
+    gf = g.compose(f)
     dgf = displacement_bound(gf)
     if not dgf.is_yes:
         return TriVerdict.no(reason="roundtrip-displacement-diverges", direction="domain", **dict(dgf.witness))
+    fg = f.compose(g)
     dfg = displacement_bound(fg)
     if not dfg.is_yes:
         return TriVerdict.no(reason="roundtrip-displacement-diverges", direction="codomain", **dict(dfg.witness))

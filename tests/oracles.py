@@ -3,7 +3,9 @@
 These deliberately avoid the library's own window-bound reasoning: they
 scan wide windows with plain bisect arithmetic so that agreement with
 the exact engines is meaningful.  The finite-tier oracles work on Python
-sets of family keys, one key and one pair at a time.  The module ends
+sets of family keys, one key and one pair at a time; the reference for
+the packed-word sweep kernels of ``_bitops`` is their byte-table form,
+one bool byte per key, with bit pairs read as word views.  The module ends
 with helpers that are not oracles: test-side constructors and the
 seeded map sweeps of acceptance criterion 7.
 """
@@ -292,6 +294,53 @@ def revalidate_reference(cert) -> bool:
     return True
 
 
+def halves(a: np.ndarray, m: int):
+    """For each bit t < m, word views (lo, hi) of the contiguous bool
+    array ``a`` over the keys without and with bit t, paired by
+    ``key ^ (1 << t)``: the table read as 2^k-byte words, k = min(t, 3),
+    holds 2^k consecutive keys per word, and OR on words is OR on the
+    0/1 bytes inside them."""
+    for t in range(m):
+        k = min(t, 3)
+        v = a.view(f"u{1 << k}").reshape(-1, 2, 1 << (t - k))
+        yield v[:, 0], v[:, 1]
+
+
+def or_has_submask_bytes(flag: np.ndarray, m: int) -> np.ndarray:
+    """``_bitops.or_has_submask`` on the byte table: every hi |= lo."""
+    g = np.ascontiguousarray(flag).copy()
+    for lo, hi in halves(g, m):
+        hi |= lo
+    return g
+
+
+def down_closure_bytes(keys, m: int) -> np.ndarray:
+    """``_bitops.down_closure`` on the byte table: every lo |= hi."""
+    table = np.zeros(1 << m, dtype=bool)
+    table[keys] = True
+    for lo, hi in halves(table, m):
+        lo |= hi
+    return table
+
+
+def maximal_keys_bytes(member: np.ndarray, m: int) -> np.ndarray:
+    """``_bitops.maximal_keys`` on the byte table: one lo |= hi step per bit."""
+    member = np.ascontiguousarray(member)
+    dominated = np.zeros_like(member)
+    for (lo, _), (_, bigger) in zip(halves(dominated, m), halves(member, m)):
+        lo |= bigger
+    return member & ~dominated
+
+
+def minimal_keys_bytes(flag: np.ndarray, m: int) -> np.ndarray:
+    """``_bitops.minimal_keys`` on the byte table: one hi |= lo step per bit."""
+    flag = np.ascontiguousarray(flag)
+    dominated = np.zeros_like(flag)
+    for (_, hi), (smaller, _) in zip(halves(dominated, m), halves(flag, m)):
+        hi |= smaller
+    return flag & ~dominated
+
+
 def _members(key: int) -> list[int]:
     return [s for s in range(key.bit_length()) if key >> s & 1]
 
@@ -335,7 +384,7 @@ def close_lsr_reference(universe: Universe, generator_keys, cap: int = 8192) -> 
         changed = False
         table = np.zeros(1 << m, dtype=bool)
         table[list(keys)] = True
-        tops = [int(k) for k in np.flatnonzero(bo.maximal_keys(table, m))]
+        tops = [int(k) for k in np.flatnonzero(maximal_keys_bytes(table, m))]
         for f, g in itertools.combinations_with_replacement(tops, 2):
             new = [f | g] if f & g else []
             new.append(bo.vee_key(f, g))

@@ -1,10 +1,14 @@
-"""The bit-sweep kernels against their per-key definitions.
+"""The bit-sweep kernels against their per-key definitions and their
+byte-table reference.
 
 Each kernel is run on seeded random tables over m = 0..8 and 12 slots
 and compared, key by key, with a direct reading of its docstring.
-Inputs are also passed as strided views, and must come back unchanged;
-from m = 5 up the sweeps pair whole 8-byte words.  The pairwise-union
-blocks are compared with the scalar ``vee_key`` for m = 1..16.
+Inputs are also passed as strided views, and must come back unchanged.
+The packed-word kernels are also compared whole with the byte-table
+kernels of ``oracles`` at every m = 0..16: below m = 6 the table is one
+padded word, bits 0 to 5 pair keys inside a word, and asdim and the
+4-point closures sweep 15 and 16 slots.  The pairwise-union blocks are
+compared with the scalar ``vee_key`` for m = 1..16.
 """
 
 import itertools
@@ -14,6 +18,8 @@ import numpy as np
 import pytest
 
 from coarselab import _bitops as bo
+
+import oracles
 
 SLOTS = [*range(9), 12]
 
@@ -130,6 +136,31 @@ def test_minimal_keys(m, density, strided):
         smaller = [k for t, k in one_bit_neighbours(key, m) if key >> t & 1]
         want = bool(flag[key]) and not any(flag[k] for k in smaller)
         assert out[key] == want, key
+
+
+SWEEPS = [
+    (bo.or_has_submask, oracles.or_has_submask_bytes),
+    (bo.maximal_keys, oracles.maximal_keys_bytes),
+    (bo.minimal_keys, oracles.minimal_keys_bytes),
+]
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("m", range(17))
+def test_packed_kernels_match_byte_tables(m, strided):
+    for density in (0.02, 0.3, 0.9):
+        flag = random_flags(m, 700 + m, density, strided)
+        before = flag.copy()
+        for kernel, reference in SWEEPS:
+            out = kernel(flag, m)
+            assert out.dtype == bool and out.shape == (1 << m,)
+            assert np.array_equal(out, reference(flag, m)), (kernel.__name__, density)
+            assert np.array_equal(flag, before)
+    rng = np.random.default_rng(800 + m)
+    for count in (0, 1, 5, 40):
+        keys = rng.integers(0, 1 << m, size=2 * count)
+        keys = keys[::2] if strided else keys[:count]
+        assert np.array_equal(bo.down_closure(keys, m), oracles.down_closure_bytes(keys, m)), count
 
 
 def test_fold_needs_one_value_per_slot():

@@ -360,6 +360,8 @@ LINE_DOCUMENT_EDITS = {
         _delete(["queries", "near", 1, "sets", 0, "elements"]),
         "set 0: finite set has no 'elements'",
     ),
+    "cover-number": ("asdim", _set(["covers", 0], 5), "covers[0] must be an object, not 5"),
+    "near-query-number": ("near", _set(["queries", "near", 0], 5), "queries.near[0] must be an object, not 5"),
 }
 
 
@@ -436,6 +438,45 @@ class TestLabelLists:
         path.write_text(json.dumps(doc))
         assert main(["near", str(path)]) == 2
         assert capsys.readouterr().err == f"schema error: near query 0 has no '{key}'\n"
+
+
+# (command, the three-point document's structure list, or its maps, and
+# the schema error it gives): each once gave only a bare KeyError's text
+MISSING_FIELD_EDITS = {
+    "partition-no-blocks": (
+        "check", {"structures": [{"name": "p", "type": "partition"}]}, "partition structure has no 'blocks'"
+    ),
+    "from-asr-no-blocks": (
+        "check", {"structures": [{"name": "r", "type": "from-asr"}]}, "from-asr structure has no 'blocks'"
+    ),
+    "nearness-no-near": (
+        "check",
+        {"structures": [{"name": "n", "type": "nearness-explicit"}]},
+        "nearness-explicit structure has no 'near'",
+    ),
+    "proximity-no-pairs": (
+        "check",
+        {"structures": [{"name": "x", "type": "proximity"}]},
+        "proximity structure has no 'pairs' and no \"discrete\" rule",
+    ),
+    "map-table-no-label": (
+        "map",
+        {"maps": [{"domain": "c", "codomain": "c", "table": {"a": "a", "c": "c"}}]},
+        "map table has no label 'b'",
+    ),
+}
+
+
+class TestMissingStructureFields:
+    @pytest.mark.parametrize("kind", sorted(MISSING_FIELD_EDITS))
+    def test_missing_field_exits_two_naming_it(self, tmp_path, capsys, kind):
+        command, edit, message = MISSING_FIELD_EDITS[kind]
+        doc = json.loads(THREE_POINT.read_text())
+        doc.update(edit)
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"schema error: {message}\n"
 
 
 class TestPartitionDocuments:

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+
+from coarselab import dimension
 
 from coarselab import lineset as ls
 from coarselab.backends import (
@@ -353,6 +356,38 @@ class TestAsdimExplicit:
                 sub = ExplicitBackend(lsr.restrict(U4.subset_from_mask(y_mask)))
                 assert asdim_explicit(sub).value <= whole
             done += 1
+
+
+class TestAsdimUniverseTables:
+    @pytest.mark.parametrize("n_pts", [1, 2, 3, 4])
+    def test_tables_are_cached_read_only_and_narrow(self, n_pts):
+        tables = dimension._universe_tables(n_pts)
+        assert dimension._universe_tables(n_pts) is tables
+        slots = (1 << n_pts) - 1
+        for table in tables:
+            assert table.shape == (1 << slots,)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+        tkey, is_cover, down, mult = tables
+        assert is_cover.dtype == bool
+        assert mult.dtype == np.uint8 and int(mult.max()) == 1 << (n_pts - 1)
+        assert down.dtype.itemsize == (1 if slots <= 8 else 2)
+        assert tkey.dtype.itemsize == (1 if slots < 8 else 2)
+
+    def test_backends_sharing_a_universe_report_as_when_first(self):
+        backends = [
+            partition_backend(U4, [["a", "b"], ["c", "d"]]),
+            partition_backend(U4, [["a"], ["b", "c", "d"]]),
+            ExplicitBackend(ExplicitLSR.from_generators(U4, [fam(U4, "ab", "cd")])),
+        ]
+        first = []
+        for backend in backends:
+            dimension._universe_tables.cache_clear()
+            first.append(asdim_explicit(backend))
+        dimension._universe_tables.cache_clear()
+        for backend, report in [*zip(backends, first), *reversed(list(zip(backends, first)))]:
+            assert asdim_explicit(backend) == report
 
 
 class TestTopoLineReport:

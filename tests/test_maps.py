@@ -2,6 +2,7 @@ import itertools
 import random
 
 from coarselab import lineset as ls
+from coarselab import maps
 from coarselab.backends import PartitionCoarseBackend
 from coarselab.maps import (
     ExplicitMap,
@@ -145,6 +146,29 @@ class TestEquivalence:
         section = ExplicitMap.from_labels(point, pb, {"p": "a"})
         v = is_ls_equivalence(const, section)
         assert v.is_no and v.witness["reason"] == "forward-not-structure-map"
+
+    def test_backward_map_checked_only_after_forward_passes(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(maps, "is_lsr_map", lambda f: checked.append(f) or is_lsr_map(f))
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
+        point = partition_backend(U1, [["p"]])
+        const = ExplicitMap.from_labels(pb, point, {x: "p" for x in "abc"})
+        section = ExplicitMap.from_labels(point, pb, {"p": "a"})
+        assert is_ls_equivalence(const, section).witness["reason"] == "forward-not-structure-map"
+        assert checked == [const]
+
+    def test_codomain_roundtrip_composed_only_after_domain_one_absorbs(self, monkeypatch):
+        composed = []
+        compose = ExplicitMap.compose
+        monkeypatch.setattr(ExplicitMap, "compose", lambda f, g: composed.append((f, g)) or compose(f, g))
+        pb = partition_backend(U3, [["a", "b"], ["c"]])
+        split = partition_backend(U2, [["a"], ["b"]])
+        f = ExplicitMap.from_labels(pb, split, {"a": "a", "b": "a", "c": "b"})
+        g = ExplicitMap.from_labels(split, pb, {"a": "c", "b": "a"})
+        v = is_ls_equivalence(f, g)
+        assert v.witness["reason"] == "roundtrip-not-absorbed"
+        assert v.witness["direction"] == "domain"
+        assert composed == [(g, f)]
 
     def test_preimage_reflection_consequence(self):
         # once an equivalence verifies, members reflect along the roundtrip
