@@ -25,6 +25,10 @@ tables, packing on the way in and unpacking on the way out, and never
 write into their input.  Folding a value per bit over a key's members
 (``fold_or``, ``fold_and``) needs no pairing: it fills an ``int64``
 table in doubling blocks, each key from the key without its top bit.
+Two folds give the family keys under a point map: with
+``point_images[i]`` the mask that point i goes to, ``image_keys`` folds
+them into the image mask of every subset, then folds the one-member
+families of those images into the image key of every family.
 
 The pairwise-union product of two families is computed a block of pairs
 at a time: ``vee_images`` gives, per slot s, the product of {s} with each
@@ -106,6 +110,13 @@ def _fold(op, m: int, values: list[int], init: int) -> np.ndarray:
     for t, value in enumerate(values):
         op(out[: 1 << t], value, out=out[1 << t : 2 << t])
     return out
+
+
+def image_keys(point_images) -> np.ndarray:
+    """out[F]: key of the family {image of s : s in F}, the image of a
+    subset s being the OR of point_images[i] over the points i of s."""
+    n = len(point_images)
+    return fold_or(1 << n, 1 << fold_or(n, point_images))
 
 
 def or_has_submask(flag: np.ndarray, m: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from .structures import (
     _first,
     _slots,
     bounded_mask,
+    common_point_table,
     discrete_closure,
     lsr_lambda_blocks,
     upset_table,
@@ -73,7 +74,7 @@ class FiniteBackend(LSRBackend):
     universe: Universe
 
     def to_explicit(self) -> ExplicitLSR:
-        raise NotImplementedError
+        return ExplicitLSR(self.universe, np.flatnonzero(self.member_table()).tolist())
 
     def member_table(self) -> np.ndarray:
         raise NotImplementedError
@@ -88,23 +89,23 @@ class FiniteBackend(LSRBackend):
         return bounded_mask(self.member_table(), self.universe.size)
 
     def bounded(self, s: Subset) -> TriVerdict:
+        """Yes with the first point x whose family {s, {x}} is a member."""
         if s.is_empty:
             return TriVerdict.yes(reason="empty")
-        table = self.member_table()
-        for x in range(self.universe.size):
-            if table[bo.masks_to_key([s.mask, 1 << self.universe.index(self.universe.elements[x])])]:
-                return TriVerdict.yes(point=self.universe.elements[x])
-        return TriVerdict.no(set=str(s))
+        points = np.arange(self.universe.size)
+        hit = _first(self.member_table()[1 << s.mask | 1 << (1 << points)])
+        if hit is None:
+            return TriVerdict.no(set=str(s))
+        return TriVerdict.yes(point=self.universe.elements[hit[0]])
 
     def is_connected(self) -> TriVerdict:
-        table = self.member_table()
-        n = self.universe.size
-        for i, j in itertools.combinations(range(n), 2):
-            if not table[bo.masks_to_key([1 << i, 1 << j])]:
-                return TriVerdict.no(
-                    pair=(self.universe.elements[i], self.universe.elements[j])
-                )
-        return TriVerdict.yes(pairs=n * (n - 1) // 2)
+        """No at the first pair of points, in combinations order, not alike."""
+        i, j = np.triu_indices(self.universe.size, 1)
+        bad = _first(~self.member_table()[1 << (1 << i) | 1 << (1 << j)])
+        if bad is None:
+            return TriVerdict.yes(pairs=i.size)
+        k = bad[0]
+        return TriVerdict.no(pair=(self.universe.elements[i[k]], self.universe.elements[j[k]]))
 
 
 class ExplicitBackend(FiniteBackend):
@@ -152,10 +153,6 @@ class PartitionCoarseBackend(FiniteBackend):
             self._table = (un & ~need) == 0
         return self._table
 
-    def to_explicit(self) -> ExplicitLSR:
-        keys = [int(k) for k in np.nonzero(self.member_table())[0]]
-        return ExplicitLSR(self.universe, keys)
-
     def describe(self) -> dict:
         return {
             "backend": "partition",
@@ -175,10 +172,6 @@ class FromASRBackend(FiniteBackend):
         if self._table is None:
             self._table = bo.down_closure(self.asr.blocks(), self.asr.slots)
         return self._table
-
-    def to_explicit(self) -> ExplicitLSR:
-        keys = [int(k) for k in np.nonzero(self.member_table())[0]]
-        return ExplicitLSR(self.universe, keys)
 
     def describe(self) -> dict:
         return {"backend": "from-asr", "blocks": len(self.asr.blocks())}
@@ -221,17 +214,12 @@ class MetricLineBackend(LSRBackend):
             if len(sets) == 1 or all(s.is_empty() for s in sets):
                 return TriVerdict.yes(scale=0)
             return TriVerdict.no(reason="empty member beside a nonempty one")
-        if all(s.is_exact() for s in sets):
-            worst = 0
-            for a, b in itertools.combinations(sets, 2):
-                d = ls.hausdorff_distance(a, b)
-                if d.is_infinite:
-                    return TriVerdict.no(pair=(a.to_json(), b.to_json()), distance="inf")
-                worst = max(worst, d.value)
-            return TriVerdict.yes(scale=worst)
+        # only a finite set and an infinite one lie infinitely apart
         for a, b in itertools.combinations(sets, 2):
             if a.is_finite() != b.is_finite():
                 return TriVerdict.no(pair=(a.to_json(), b.to_json()), distance="inf")
+        if all(s.is_exact() for s in sets):
+            return TriVerdict.yes(scale=ls.family_distance(sets).value)
         refuted = []
         for a, b in itertools.combinations(sets, 2):
             v = ls.hausdorff_at_scale(a, b, self.scale_budget, self.window)
@@ -389,11 +377,7 @@ def lambda_of(backend: LSRBackend) -> ExplicitASR | LineAlikeRule:
     if isinstance(backend, FiniteBackend):
         lsr = backend.to_explicit()
         blocks = lsr_lambda_blocks(lsr)  # raises with witness when not regular
-        ids = [0] * lsr.slots
-        for i, block in enumerate(sorted(blocks)):
-            for s in bo.bits(block):
-                ids[s] = i
-        return ExplicitASR(backend.universe, tuple(ids))
+        return ExplicitASR.from_blocks(backend.universe, [list(bo.bits(b)) for b in sorted(blocks)])
     raise ValueError(f"no induced equivalence for {backend!r}")
 
 
@@ -424,8 +408,7 @@ def induced_nearness(
     universe = backend.universe
     m = 1 << universe.size
     cl = closure if closure is not None else discrete_closure(universe)
-    inter = bo.fold_and(m, [cl[s] for s in range(m)], (1 << universe.size) - 1)
-    near = inter != 0
+    near = common_point_table(cl)
 
     # the families a member family refines into are those inside its upset
     members = np.flatnonzero(backend.member_table())
@@ -473,10 +456,8 @@ def _nearness_of_line(q: NearnessQuery) -> TriVerdict:
         if not inter.is_empty():
             return TriVerdict.yes(clause="common-point", point=inter.min_element())
         if all(not s.is_finite() for s in sets):
-            worst = 0
-            for a, b in itertools.combinations(sets, 2):
-                worst = max(worst, ls.hausdorff_distance(a, b).value)
-            return TriVerdict.yes(clause="unbounded-refiner", witness="the family itself", scale=worst)
+            scale = ls.family_distance(sets).value
+            return TriVerdict.yes(clause="unbounded-refiner", witness="the family itself", scale=scale)
         finite = next(s for s in sets if s.is_finite())
         return TriVerdict.no(clause="exhausted", finite_member=finite.to_json())
     # windowed common point

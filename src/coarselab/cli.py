@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (FileNotFoundError, KeyError) as e:
+    except FileNotFoundError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except CapExceeded as e:

@@ -67,7 +67,7 @@ class InstanceDocument:
     @property
     def asdim_windows(self) -> list[int]:
         windows = self.budgets.get("asdim_windows", [16, 32, 64, 128, 256, 512])
-        return [_integer(n, "budgets.asdim_windows") for n in windows]
+        return [_integer(n, "budgets.asdim_windows") for n in _list(windows, "budgets.asdim_windows")]
 
     def universe(self) -> Universe:
         if self.space.get("kind") != "finite":
@@ -120,8 +120,8 @@ def load_document(text: str) -> InstanceDocument:
         queries=raw.get("queries", {}),
         budgets=raw.get("budgets", {}),
     )
-    for s in doc.structures:
-        if not isinstance(s, dict) or "type" not in s:
+    for s in objects(doc.structures, "structures"):
+        if "type" not in s:
             raise SchemaError("each structure needs a type")
     _check_integers_only(raw)
     return doc
@@ -163,16 +163,23 @@ def as_object(value: Any, name: str) -> dict:
     return value
 
 
-def _field(desc: dict, key: str) -> Any:
-    """``desc[key]``; a missing key is a schema error naming the structure."""
+def _field(desc: dict, key: str, name: str = "") -> Any:
+    """``desc[key]``; a missing key is a schema error naming ``name``, or
+    else the structure."""
     if key not in desc:
-        raise SchemaError(f"{desc['type']} structure has no {key!r}")
+        raise SchemaError(f"{name or desc['type'] + ' structure'} has no {key!r}")
     return desc[key]
+
+
+def _element(universe: Universe, label: Any) -> str:
+    if label not in universe.elements:
+        raise SchemaError(f"label {label!r} is not an element of {universe}")
+    return label
 
 
 def _subset(universe: Universe, labels: list[str]) -> Subset:
     """A list of element labels; a string is not read one character at a time."""
-    return universe.subset(_list(labels, "a set of labels"))
+    return universe.subset([_element(universe, x) for x in _list(labels, "a set of labels")])
 
 
 def _family(universe: Universe, subsets: list[list[str]]) -> Family:
@@ -183,7 +190,7 @@ def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
     kind = desc["type"]
     if kind == "lsr-explicit":
         universe = doc.universe()
-        gens = [_family(universe, fam) for fam in desc.get("generators", [])]
+        gens = [_family(universe, fam) for fam in _list(desc.get("generators", []), "generators")]
         return ExplicitBackend(ExplicitLSR.from_generators(universe, gens))
     if kind == "partition":
         universe = doc.universe()
@@ -206,9 +213,13 @@ def build_backend(doc: InstanceDocument, desc: dict) -> LSRBackend:
 def build_asr(doc: InstanceDocument, desc: dict) -> ExplicitASR:
     universe = doc.universe()
     blocks = [
-        [_subset(universe, labels).mask for labels in block] for block in _field(desc, "blocks")
+        [_subset(universe, labels).mask for labels in _list(block, "a from-asr block")]
+        for block in _list(_field(desc, "blocks"), "from-asr blocks")
     ]
-    return ExplicitASR.from_blocks(universe, blocks)
+    try:
+        return ExplicitASR.from_blocks(universe, blocks)
+    except ValueError as e:  # blocks that miss a subset
+        raise SchemaError(f"from-asr: {e}") from None
 
 
 def build_nearness(doc: InstanceDocument, desc: dict) -> ExplicitNearness:
@@ -218,12 +229,16 @@ def build_nearness(doc: InstanceDocument, desc: dict) -> ExplicitNearness:
         table = discrete_closure(universe)
     elif isinstance(closure, dict):
         table = tuple(
-            _subset(universe, closure[str(s)]).mask for s in range(1 << universe.size)
+            _subset(universe, _field(closure, str(s), "closure object")).mask
+            for s in range(1 << universe.size)
         )
     else:
         raise SchemaError(f'closure must be "discrete" or an object, not {closure!r}')
-    keys = [_family(universe, fam).mask_key() for fam in _field(desc, "near")]
-    return ExplicitNearness(universe, keys, table)
+    keys = [_family(universe, fam).mask_key() for fam in _list(_field(desc, "near"), "near")]
+    try:
+        return ExplicitNearness(universe, keys, table)
+    except ValueError as e:  # a closure object that is not a closure
+        raise SchemaError(f"nearness-explicit: {e}") from None
 
 
 def build_proximity(doc: InstanceDocument, desc: dict) -> ExplicitProximity:
@@ -233,8 +248,8 @@ def build_proximity(doc: InstanceDocument, desc: dict) -> ExplicitProximity:
     if "pairs" not in desc:
         raise SchemaError('proximity structure has no \'pairs\' and no "discrete" rule')
     pairs = {
-        (_subset(universe, a).mask, _subset(universe, b).mask)
-        for a, b in desc["pairs"]
+        tuple(_subset(universe, labels).mask for labels in _pair(pair, "a proximity pair"))
+        for pair in _list(desc["pairs"], "proximity pairs")
     }
     return ExplicitProximity.from_predicate(
         universe, lambda x, y: (x, y) in pairs or (y, x) in pairs
@@ -244,30 +259,32 @@ def build_proximity(doc: InstanceDocument, desc: dict) -> ExplicitProximity:
 def build_coarse(doc: InstanceDocument, desc: dict) -> ExplicitCoarse:
     universe = doc.universe()
     pair_lists = [
-        [_pair(p) for p in _list(gen, "a generator")]
+        [tuple(_element(universe, x) for x in _pair(p, "a related pair")) for p in _list(gen, "a generator")]
         for gen in _list(desc.get("generators", []), "generators")
     ]
     return ExplicitCoarse.from_pairs(universe, pair_lists)
 
 
-def _pair(value: Any) -> tuple[str, str]:
+def _pair(value: Any, name: str) -> tuple[Any, Any]:
     if not isinstance(value, list) or len(value) != 2:
-        raise SchemaError(f"a related pair must be a list of two labels, not {value!r}")
+        raise SchemaError(f"{name} must be a list of two, not {value!r}")
     return value[0], value[1]
 
 
 def build_cover(doc: InstanceDocument, desc: dict) -> Cover:
     if "rule" in desc:
-        try:
-            return Cover.from_rule(desc["rule"])
-        except ValueError as e:  # an unknown rule
-            raise SchemaError(str(e)) from None
-    if "members" in desc:
+        build, arg = Cover.from_rule, desc["rule"]
+    elif "members" in desc:
         universe = doc.universe()
-        return Cover.explicit([_subset(universe, s) for s in desc["members"]])
-    if "line_members" in desc:
-        return Cover.of_line_sets(build_line_sets(desc["line_members"]))
-    raise SchemaError("cover needs a rule, members, or line_members")
+        build, arg = Cover.explicit, [_subset(universe, s) for s in _list(desc["members"], "cover members")]
+    elif "line_members" in desc:
+        build, arg = Cover.of_line_sets, build_line_sets(desc["line_members"])
+    else:
+        raise SchemaError("cover needs a rule, members, or line_members")
+    try:
+        return build(arg)
+    except ValueError as e:  # an unknown rule, or no nonempty members
+        raise SchemaError(str(e)) from None
 
 
 def build_map(doc: InstanceDocument, desc: dict):
@@ -286,7 +303,8 @@ def build_map(doc: InstanceDocument, desc: dict):
     missing = [x for x in domain.universe.elements if x not in table]
     if missing:
         raise SchemaError(f"map table has no label {missing[0]!r}")
-    return ExplicitMap.from_labels(domain, codomain, table)
+    values = {x: _element(codomain.universe, table[x]) for x in domain.universe.elements}
+    return ExplicitMap.from_labels(domain, codomain, values)
 
 
 def _line_map(desc: dict) -> LineMap:
@@ -316,14 +334,14 @@ def _parameter(desc: dict, key: str, default: int | None = None) -> int:
 
 def build_line_sets(descs: list[dict]) -> list[ls.LineSet]:
     """Line sets of a query; a set that is not an object, or that the
-    line-set layer refuses (including a ``LineSetError``), is a schema
-    error naming its index."""
+    line-set layer refuses (including a ``LineSetError``, and a field of
+    the wrong type), is a schema error naming its index."""
     sets = []
-    for i, desc in enumerate(descs):
+    for i, desc in enumerate(_list(descs, "line sets")):
         if not isinstance(desc, dict):
             raise SchemaError(f"set {i}: not an object")
         try:
             sets.append(ls.lineset_from_json(desc))
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise SchemaError(f"set {i}: {e}") from e
     return sets

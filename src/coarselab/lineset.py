@@ -33,6 +33,7 @@ sparsify half's field comes from the pivot's.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -644,6 +645,18 @@ def _last_within(dists: np.ndarray, keep: np.ndarray, scales) -> np.ndarray:
 def hausdorff_distance(a: LineSet, b: LineSet) -> ExtendedDistance:
     """Exact extended Hausdorff distance between nonempty exact-tier sets."""
     return _exact_distance(a, b)[0]
+
+
+def family_distance(sets) -> ExtendedDistance:
+    """Largest exact Hausdorff distance between two members of a family of
+    nonempty exact-tier sets; infinite at the first pair infinitely apart."""
+    worst = 0
+    for a, b in itertools.combinations(sets, 2):
+        d = hausdorff_distance(a, b)
+        if d.is_infinite:
+            return INF
+        worst = max(worst, d.value)
+    return ExtendedDistance.finite(worst)
 
 
 def _exact_distance(a: LineSet, b: LineSet) -> tuple[ExtendedDistance, list | None]:

@@ -21,7 +21,7 @@ from . import _bitops as bo
 from . import lineset as ls
 from .backends import FiniteBackend, MetricLineBackend
 from .setcore import Family, Subset
-from .structures import _first, bounded_mask
+from .structures import _first
 from .verdict import TriVerdict
 
 SAMPLE_WINDOW = 2000
@@ -54,13 +54,6 @@ class ExplicitMap:
             out |= 1 << self.table[i]
         return out
 
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i, t in enumerate(self.table):
-            if mask >> t & 1:
-                out |= 1 << i
-        return out
-
     def image_key(self, key: int) -> int:
         out = 0
         for s in bo.bits(key):
@@ -69,8 +62,12 @@ class ExplicitMap:
 
     def image_table(self) -> np.ndarray:
         """image_key of every domain family key, in one sweep."""
-        m = 1 << self.domain.universe.size
-        return bo.fold_or(m, [1 << self.image_mask(s) for s in range(m)])
+        return bo.image_keys([1 << t for t in self.table])
+
+    def preimage_masks(self) -> np.ndarray:
+        """Preimage mask of every codomain subset mask, in one sweep."""
+        n = self.codomain.universe.size
+        return bo.fold_or(n, [sum(1 << i for i, t in enumerate(self.table) if t == j) for j in range(n)])
 
     def compose(self, other: "ExplicitMap") -> "ExplicitMap":
         """self after other."""
@@ -227,11 +224,8 @@ def _is_lsr_map_explicit(f: ExplicitMap) -> TriVerdict:
             family=str(Family.from_mask_key(dom.universe, bad[0])),
             image=str(Family.from_mask_key(cod.universe, int(img[bad[0]]))),
         )
-    bounded_cod = bounded_mask(cod_table, cod.universe.size)
-    bounded_dom = bounded_mask(dom_table, dom.universe.size)
-    sets = np.arange(1 << cod.universe.size)
-    pre = np.array([f.preimage_mask(b) for b in sets.tolist()])
-    bad = _first((bounded_cod >> sets & 1 == 1) & (bounded_dom >> pre & 1 == 0))
+    sets, pre = np.arange(1 << cod.universe.size), f.preimage_masks()
+    bad = _first((cod.bounded_mask() >> sets & 1 == 1) & (dom.bounded_mask() >> pre & 1 == 0))
     if bad is not None:
         return TriVerdict.no(
             reason="unbounded-preimage",
@@ -311,51 +305,38 @@ def is_ls_equivalence(f: SpaceMap, g: SpaceMap) -> TriVerdict:
     raise ValueError("mixed map kinds")
 
 
-def _check_absorption_explicit(
-    comp: ExplicitMap, backend: FiniteBackend
-) -> tuple[int, int, dict] | None:
-    """First family whose composite image is a member while the union
-    with the original is not."""
-    table = backend.member_table()
-    comp_img = comp.image_table()
-    bad = _first(table[comp_img] & ~table[comp_img | np.arange(table.size)])
-    if bad is None:
-        return None
-    return bad[0], int(comp_img[bad[0]]), {}
-
-
 def _is_equivalence_explicit(f: ExplicitMap, g: ExplicitMap) -> TriVerdict:
-    bad = _check_absorption_explicit(g.compose(f), f.domain)
-    if bad is not None:
-        return TriVerdict.no(
-            reason="roundtrip-not-absorbed",
-            direction="domain",
-            family=str(Family.from_mask_key(f.domain.universe, bad[0])),
-            composite_image=str(Family.from_mask_key(f.domain.universe, bad[1])),
-        )
-    bad = _check_absorption_explicit(f.compose(g), f.codomain)
-    if bad is not None:
-        return TriVerdict.no(
-            reason="roundtrip-not-absorbed",
-            direction="codomain",
-            family=str(Family.from_mask_key(f.codomain.universe, bad[0])),
-            composite_image=str(Family.from_mask_key(f.codomain.universe, bad[1])),
-        )
+    """No at the first family, g after f on the domain and then f after g
+    on the codomain, whose round-trip image is a member while its union
+    with the family is not; each round trip is composed only once the one
+    before it is absorbed."""
+    for direction, there, back in (("domain", f, g), ("codomain", g, f)):
+        table, img = there.domain.member_table(), back.compose(there).image_table()
+        bad = _first(table[img] & ~table[img | np.arange(table.size)])
+        if bad is not None:
+            universe = there.domain.universe
+            return TriVerdict.no(
+                reason="roundtrip-not-absorbed",
+                direction=direction,
+                family=str(Family.from_mask_key(universe, bad[0])),
+                composite_image=str(Family.from_mask_key(universe, int(img[bad[0]]))),
+            )
     return TriVerdict.yes(families_checked=2 * (1 << (1 << f.domain.universe.size)))
 
 
 def _is_equivalence_line(f: LineMap, g: LineMap) -> TriVerdict:
-    gf = g.compose(f)
-    dgf = displacement_bound(gf)
-    if not dgf.is_yes:
-        return TriVerdict.no(reason="roundtrip-displacement-diverges", direction="domain", **dict(dgf.witness))
-    fg = f.compose(g)
-    dfg = displacement_bound(fg)
-    if not dfg.is_yes:
-        return TriVerdict.no(reason="roundtrip-displacement-diverges", direction="codomain", **dict(dfg.witness))
+    comps, bounds = [], {}
+    for direction, there, back in (("domain", f, g), ("codomain", g, f)):
+        comps.append(back.compose(there))
+        bound = displacement_bound(comps[-1])
+        if not bound.is_yes:
+            return TriVerdict.no(
+                reason="roundtrip-displacement-diverges", direction=direction, inner=dict(bound.witness)
+            )
+        bounds[f"displacement_{direction}"] = bound.witness["bound"]
     backend = MetricLineBackend()
     checked = 0
-    for comp, bound in ((gf, dgf), (fg, dfg)):
+    for comp in comps:
         for fam in _sample_families(max_size=2):
             base = backend.member(list(fam))
             if not base.is_yes:
@@ -368,8 +349,4 @@ def _is_equivalence_line(f: LineMap, g: LineMap) -> TriVerdict:
                     family=[s.to_json() for s in fam],
                 )
             checked += 1
-    return TriVerdict.yes(
-        displacement_domain=dgf.witness["bound"],
-        displacement_codomain=dfg.witness["bound"],
-        sampled_families=checked,
-    )
+    return TriVerdict.yes(**bounds, sampled_families=checked)

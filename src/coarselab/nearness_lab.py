@@ -370,11 +370,6 @@ def bunch_obstruction(
                 raise ObstructionRejected(
                     f"members {i} and {j} share the point {inter.min_element()}"
                 )
-    worst = 0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            worst = max(worst, ls.hausdorff_distance(members[i], members[j]).value)
-
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
     # past N0 the pivot's shortest progression alone gives one point per step
@@ -395,7 +390,7 @@ def bunch_obstruction(
 
     return BunchObstruction(
         family=tuple(members),
-        refiner_scale=worst,
+        refiner_scale=ls.family_distance(members).value,
         pivot=pivot,
         half1=half1,
         half2=half2,

@@ -192,19 +192,14 @@ class ExplicitLSR:
             raise ValueError("subspace must be nonempty")
         m = self.slots
         outside = bo.fold_or(m, [s & ~y.mask for s in range(m)])
-        image = bo.fold_or(m, [1 << _repack(s, y.mask) for s in range(m)])
+        # each point of y goes to its rank in y; families that hold a point
+        # outside y are not kept, so those points may go anywhere
+        ranks = [
+            1 << (y.mask & (1 << i) - 1).bit_count() if y.mask >> i & 1 else 0
+            for i in range(self.universe.size)
+        ]
+        image = bo.image_keys(ranks)
         return ExplicitLSR(Universe(y.labels()), image[self.table() & (outside == 0)].tolist())
-
-
-def _repack(mask: int, within: int) -> int:
-    """Reindex a subset mask into the compact coordinates of ``within``."""
-    out = 0
-    pos = 0
-    for i in bo.bits(within):
-        if mask >> i & 1:
-            out |= 1 << pos
-        pos += 1
-    return out
 
 
 def check_lsr_axioms(c: ExplicitLSR) -> CheckReport:
@@ -469,12 +464,16 @@ def topological_nearness(
     universe: Universe, closure: tuple[int, ...] | None = None
 ) -> ExplicitNearness:
     """Near iff the members' closures have a common point."""
+    _slots(universe)  # refuses a universe past the cap before any table is built
     cl = closure if closure is not None else discrete_closure(universe)
-    m = _slots(universe)
-    closed = [cl[s] for s in range(m)]
-    inter = bo.fold_and(m, closed, (1 << universe.size) - 1)
-    keys = [int(k) for k in np.nonzero(inter != 0)[0]]
-    return ExplicitNearness(universe, keys, cl)
+    return ExplicitNearness(universe, np.flatnonzero(common_point_table(cl)).tolist(), cl)
+
+
+def common_point_table(closure: tuple[int, ...]) -> np.ndarray:
+    """near[F]: the closures of the members of F share a point (the empty
+    family included, its intersection being the whole universe)."""
+    m = len(closure)
+    return bo.fold_and(m, list(closure), m - 1) != 0
 
 
 def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
@@ -484,10 +483,8 @@ def check_nearness_axioms(n: ExplicitNearness) -> CheckReport:
     u, m = n.universe, n.slots
     table = n.table()
     fam = functools.partial(_family_str, u)
-    # families with a common point are near (the empty family included,
-    # its intersection being the whole universe)
-    inter = bo.fold_and(m, list(range(m)), (1 << u.size) - 1)
-    common = _first((inter != 0) & ~table)
+    # families with a common point are near
+    common = _first(common_point_table(discrete_closure(u)) & ~table)
     # growing every member keeps a near family near
     upset = upset_table(m)
     growth = _first(table & bo.or_has_submask(~table, m)[upset])

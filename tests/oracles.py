@@ -362,6 +362,37 @@ def unbounded_refiners(table, n: int) -> list[tuple[int, list[int]]]:
     return out
 
 
+def bounded_reference(backend, s: Subset) -> TriVerdict:
+    """``FiniteBackend.bounded`` as a loop over the points, one family
+    {s, {x}} looked up at a time."""
+    if s.is_empty:
+        return TriVerdict.yes(reason="empty")
+    table = backend.member_table()
+    for x in range(backend.universe.size):
+        if table[bo.masks_to_key([s.mask, 1 << x])]:
+            return TriVerdict.yes(point=backend.universe.elements[x])
+    return TriVerdict.no(set=str(s))
+
+
+def is_connected_reference(backend) -> TriVerdict:
+    """``FiniteBackend.is_connected`` as a loop over the point pairs."""
+    table = backend.member_table()
+    n = backend.universe.size
+    for i, j in itertools.combinations(range(n), 2):
+        if not table[bo.masks_to_key([1 << i, 1 << j])]:
+            return TriVerdict.no(pair=(backend.universe.elements[i], backend.universe.elements[j]))
+    return TriVerdict.yes(pairs=n * (n - 1) // 2)
+
+
+def preimage_mask_reference(f: ExplicitMap, mask: int) -> int:
+    """The domain points that the map sends into the codomain subset ``mask``."""
+    out = 0
+    for i, t in enumerate(f.table):
+        if mask >> t & 1:
+            out |= 1 << i
+    return out
+
+
 def first_refiner(refiners: list[tuple[int, list[int]]], key: int) -> int | None:
     """First refiner with a member inside each member of the family ``key``."""
     sets = _members(key)

@@ -24,7 +24,7 @@ from coarselab.backends import (
     restrict,
     sampled_line_axiom_report,
 )
-from coarselab.mining import all_partitions, close_lsr, random_lsr
+from coarselab.mining import all_partitions, close_lsr, random_lsr, universe_of_size
 from coarselab.setcore import Family, Subset, Universe
 from coarselab.structures import (
     ExplicitASR,
@@ -35,7 +35,13 @@ from coarselab.structures import (
     is_h_nearness,
 )
 
-from oracles import first_refiner, partition_backend, unbounded_refiners
+from oracles import (
+    bounded_reference,
+    first_refiner,
+    is_connected_reference,
+    partition_backend,
+    unbounded_refiners,
+)
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -74,6 +80,18 @@ class TestPartitionBackend:
     def test_connected_iff_single_block(self):
         assert partition_backend(U3, [["a", "b", "c"]]).is_connected().is_yes
         assert partition_backend(U3, [["a", "b"], ["c"]]).is_connected().is_no
+
+    def test_bounded_and_connected_match_the_point_loops(self):
+        # verdicts and witnesses on every partition backend of 1 to 4
+        # points and, for boundedness, every subset
+        for n in range(1, 5):
+            u = universe_of_size(n)
+            for blocks in all_partitions(u):
+                pb = PartitionCoarseBackend(u, blocks)
+                assert pb.is_connected() == is_connected_reference(pb)
+                for mask in range(1 << n):
+                    s = Subset(u, mask)
+                    assert pb.bounded(s) == bounded_reference(pb, s)
 
     def test_member_axioms_exhaustive(self):
         # singleton-true, downward-monotone, product-closed on all keys

@@ -136,6 +136,14 @@ class TestSchema:
         bad.write_text("{}")
         assert main(["check", str(bad)]) == 2
 
+    def test_internal_key_error_is_not_a_schema_error(self, monkeypatch):
+        def broken(doc, desc):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "build_backend", broken)
+        with pytest.raises(KeyError):
+            main(["check", str(THREE_POINT)])
+
     @pytest.mark.parametrize("command", ["check", "asdim"])
     def test_repeated_element_exits_two_without_traceback(self, tmp_path, command):
         doc = json.loads(THREE_POINT.read_text())
@@ -362,6 +370,12 @@ LINE_DOCUMENT_EDITS = {
     ),
     "cover-number": ("asdim", _set(["covers", 0], 5), "covers[0] must be an object, not 5"),
     "near-query-number": ("near", _set(["queries", "near", 0], 5), "queries.near[0] must be an object, not 5"),
+    "cover-line-members-number": ("asdim", _set(["covers", 0], {"line_members": 5}), "line sets must be a list, not 5"),
+    "asdim-windows-number": (
+        "asdim", _set(["budgets", "asdim_windows"], 5), "budgets.asdim_windows must be a list, not 5"
+    ),
+    "near-sets-number": ("near", _set(["queries", "near", 0, "sets"], 5), "line sets must be a list, not 5"),
+    "bunch-sets-number": ("bunch", _set(["queries", "bunch", 0, "sets"], 5), "line sets must be a list, not 5"),
 }
 
 
@@ -440,8 +454,15 @@ class TestLabelLists:
         assert capsys.readouterr().err == f"schema error: near query 0 has no '{key}'\n"
 
 
-# (command, the three-point document's structure list, or its maps, and
-# the schema error it gives): each once gave only a bare KeyError's text
+def _closure(**entries):
+    closure = {str(s): [] for s in range(8)}
+    closure.update(entries)
+    return {"name": "n", "type": "nearness-explicit", "closure": closure, "near": []}
+
+
+# (command, the three-point document's structure list, covers or maps, and
+# the schema error it gives): each once gave only a bare KeyError's text,
+# or a traceback
 MISSING_FIELD_EDITS = {
     "partition-no-blocks": (
         "check", {"structures": [{"name": "p", "type": "partition"}]}, "partition structure has no 'blocks'"
@@ -464,6 +485,42 @@ MISSING_FIELD_EDITS = {
         {"maps": [{"domain": "c", "codomain": "c", "table": {"a": "a", "c": "c"}}]},
         "map table has no label 'b'",
     ),
+    "map-value-not-an-element": (
+        "map",
+        {"maps": [{"domain": "c", "codomain": "c", "table": {"a": "a", "b": "zz", "c": "c"}}]},
+        "label 'zz' is not an element of {a,b,c}",
+    ),
+    "label-not-an-element": (
+        "check",
+        {"structures": [{"name": "c", "type": "lsr-explicit", "generators": [[["a", "zz"]]]}]},
+        "label 'zz' is not an element of {a,b,c}",
+    ),
+    "from-asr-block-misses": (
+        "check",
+        {"structures": [{"name": "r", "type": "from-asr", "blocks": [[[], ["a"]]]}]},
+        "from-asr: blocks must cover every subset",
+    ),
+    "from-asr-block-number": (
+        "check", {"structures": [{"name": "r", "type": "from-asr", "blocks": [5]}]}, "a from-asr block must be a list, not 5"
+    ),
+    "generators-number": (
+        "check", {"structures": [{"name": "c", "type": "lsr-explicit", "generators": 5}]}, "generators must be a list, not 5"
+    ),
+    "closure-not-extensive": (
+        "check", {"structures": [_closure()]}, "nearness-explicit: closure must contain its argument: 1"
+    ),
+    "closure-missing-subset": (
+        "check", {"structures": [{**_closure(), "closure": {"0": []}}]}, "closure object has no '1'"
+    ),
+    "proximity-pairs-number": (
+        "check", {"structures": [{"name": "x", "type": "proximity", "pairs": 5}]}, "proximity pairs must be a list, not 5"
+    ),
+    "proximity-pair-of-three": (
+        "check",
+        {"structures": [{"name": "x", "type": "proximity", "pairs": [[["a"], ["b"], ["c"]]]}]},
+        "a proximity pair must be a list of two, not [['a'], ['b'], ['c']]",
+    ),
+    "cover-members-number": ("asdim", {"covers": [{"members": 5}]}, "cover members must be a list, not 5"),
 }
 
 
@@ -477,6 +534,43 @@ class TestMissingStructureFields:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+def _node_paths(node, path=()):
+    """Paths of every node below the root, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _command_reading(path) -> str:
+    if path[0] == "queries" and len(path) > 1:
+        return path[1]
+    return {"maps": "map", "budgets": "asdim", "covers": "asdim", "queries": "near"}.get(path[0], "check")
+
+
+_DELETE = object()
+
+
+class TestDocumentMutations:
+    @pytest.mark.parametrize("document", [THREE_POINT, NAT_LINE], ids=lambda p: p.name)
+    @pytest.mark.parametrize("value", [5, "zz", [], {}, None, _DELETE], ids=["5", "zz", "list", "object", "null", "delete"])
+    def test_every_node_replaced_or_deleted_exits_without_traceback(self, tmp_path, capsys, document, value):
+        # each node of the document in turn, through the command that reads
+        # it; an exception escaping main would be a traceback
+        text = document.read_text()
+        path = tmp_path / "mutated.json"
+        for node in _node_paths(json.loads(text)):
+            doc = json.loads(text)
+            (_delete(node) if value is _DELETE else _set(node, value))(doc)
+            path.write_text(json.dumps(doc))
+            code = main([_command_reading(node), str(path), "--window", "2000", "--scale", "4"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3, 4), node
+            if code == 2:
+                # a named message, not the bare text of a KeyError
+                assert err.startswith("schema error: ") and err[14] not in "'\"", (node, err)
 
 
 class TestPartitionDocuments:
@@ -503,6 +597,15 @@ class TestMap:
         code, out = run_cli(["map", str(NAT_LINE)], capsys)
         assert code == 0
         assert "equivalence with inverse: yes" in out
+
+    def test_diverging_roundtrip_exits_one_with_its_witness(self, tmp_path, capsys):
+        doc = json.loads(NAT_LINE.read_text())
+        doc["maps"][0]["a"] = 3
+        path = tmp_path / "slope.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["map", str(path)], capsys)
+        assert code == 1
+        assert "equivalence with inverse: no" in out
 
 
 class TestExitCodes:

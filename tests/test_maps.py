@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from coarselab import _bitops as bo
 from coarselab import lineset as ls
 from coarselab import maps
 from coarselab.backends import PartitionCoarseBackend
@@ -14,7 +15,7 @@ from coarselab.maps import (
 from coarselab.mining import all_partitions, universe_of_size
 from coarselab.setcore import Universe
 
-from oracles import partition_backend
+from oracles import partition_backend, preimage_mask_reference
 
 U1 = Universe.of("p")
 U2 = Universe.of("a", "b")
@@ -101,6 +102,25 @@ class TestImageTable:
             f = ExplicitMap(d, c, tuple(rng.randrange(n) for _ in range(4)))
             assert f.image_table().tolist() == [f.image_key(k) for k in range(1 << 16)]
 
+    def test_image_keys_of_a_map_that_is_not_injective(self):
+        # a, b -> a and c -> b: {{a}, {b}} goes to {{a}}, and {{a}, {c}} to {{a}, {b}}
+        f = ExplicitMap(partition_backend(U3, [["a", "b", "c"]]), partition_backend(U2, [["a", "b"]]), (0, 0, 1))
+        table = bo.image_keys([1 << t for t in f.table])
+        assert table.tolist() == [f.image_key(k) for k in range(1 << 8)]
+        assert table[0b110] == 0b10 and table[0b10010] == 0b110
+
+
+class TestPreimageMasks:
+    def test_match_the_per_subset_definition(self):
+        # seeded maps from 1 to 4 points into codomains of 1 to 4 points
+        rng = random.Random(45)
+        for n1, n2 in itertools.product(range(1, 5), repeat=2):
+            d = PartitionCoarseBackend(universe_of_size(n1), [(1 << n1) - 1])
+            c = PartitionCoarseBackend(universe_of_size(n2), [(1 << n2) - 1])
+            for _ in range(5):
+                f = ExplicitMap(d, c, tuple(rng.randrange(n2) for _ in range(n1)))
+                assert f.preimage_masks().tolist() == [preimage_mask_reference(f, b) for b in range(1 << n2)]
+
 
 class TestDisplacement:
     def test_identity(self):
@@ -133,6 +153,17 @@ class TestEquivalence:
         f, g = LineMap.affine(2, 0), LineMap.floor_div(2)
         assert is_ls_equivalence(f, g).is_yes
         assert is_ls_equivalence(g, f).is_yes
+
+    def test_diverging_line_roundtrip_is_no_with_its_displacement_witness(self):
+        # slope 3/2 after either order of the two maps
+        for f, g in ((LineMap.affine(3, 0), LineMap.floor_div(2)), (LineMap.floor_div(2), LineMap.affine(3, 0))):
+            v = is_ls_equivalence(f, g)
+            assert v.is_no
+            assert v.witness["reason"] == "roundtrip-displacement-diverges"
+            assert v.witness["direction"] == "domain"
+            inner = v.witness["inner"]
+            assert inner["reason"] == "slope" and inner["slope"] == "3/2"
+            assert inner["displacement"] == abs(g.compose(f).apply(inner["witness_point"]) - inner["witness_point"])
 
     def test_swap_map_on_symmetric_partition(self):
         pb = partition_backend(U2, [["a"], ["b"]])
