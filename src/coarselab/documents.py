@@ -81,8 +81,12 @@ class InstanceDocument:
         raise SchemaError(f"no structure named {name!r}")
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise SchemaError(f"{name} must be an integer, not {value!r}")
     return value
 
@@ -332,15 +336,51 @@ def _parameter(desc: dict, key: str, default: int | None = None) -> int:
         raise ValueError(f"{key!r} must be an integer, not {desc[key]!r}") from None
 
 
+# line-set kind -> (its fields that are lists of integers, its integer fields)
+_LINE_SET_INTEGERS = {
+    "finite": (("elements",), ()),
+    "periodic": (("finite", "removals"), ()),
+    "geometric": ((), ("m", "b", "k0")),
+    "blocks": (("ints",), ()),
+}
+
+
+def _check_line_set(desc: dict, path: str = "") -> None:
+    """A schema error naming the path of the first field of the line-set
+    node ``desc``, or of a set nested in it, that has the wrong type.
+    Missing fields and values out of range are left to the line-set
+    layer."""
+    kind = desc.get("kind")
+    lists, scalars = _LINE_SET_INTEGERS.get(kind, ((), ()))
+    for key in (k for k in lists if k in desc):
+        for j, n in enumerate(_list(desc[key], f"{path}{key}")):
+            _integer(n, f"{path}{key}[{j}]")
+    for key in (k for k in scalars if k in desc):
+        _integer(desc[key], f"{path}{key}")
+    if kind == "periodic":
+        for j, ap in enumerate(_list(desc.get("progressions", []), f"{path}progressions")):
+            if not isinstance(ap, list) or len(ap) != 2 or not all(_is_integer(n) for n in ap):
+                raise SchemaError(f"{path}progressions[{j}] must be a pair of integers, not {ap!r}")
+    if kind == "blocks":
+        if not isinstance(desc.get("rule", ""), str):
+            raise SchemaError(f"{path}rule must be a string, not {desc['rule']!r}")
+        if not _list(desc.get("gaps", ["divergent"]), f"{path}gaps"):
+            raise SchemaError(f"{path}gaps must not be empty")
+        for j, sub in enumerate(_list(desc.get("sets", []), f"{path}sets")):
+            _check_line_set(as_object(sub, f"{path}sets[{j}]"), f"{path}sets[{j}].")
+
+
 def build_line_sets(descs: list[dict]) -> list[ls.LineSet]:
-    """Line sets of a query; a set that is not an object, or that the
-    line-set layer refuses (including a ``LineSetError``, and a field of
-    the wrong type), is a schema error naming its index."""
+    """Line sets of a query; a set that is not an object, that has a
+    field of the wrong type (``_check_line_set``), or that the line-set
+    layer refuses (including a ``LineSetError``) is a schema error naming
+    its index."""
     sets = []
     for i, desc in enumerate(_list(descs, "line sets")):
         if not isinstance(desc, dict):
             raise SchemaError(f"set {i}: not an object")
         try:
+            _check_line_set(desc)
             sets.append(ls.lineset_from_json(desc))
         except (TypeError, ValueError) as e:
             raise SchemaError(f"set {i}: {e}") from e

@@ -54,8 +54,16 @@ pivot must be ``family[0]`` and an infinite periodic set; the halves
 must equal ``sparsify_split(pivot)`` and the sides the two
 ``nearer-side`` sets of those halves, so both follow from the pivot,
 and the sides cover the line by construction.  The three fields come
-from the same ``_sparsify_fields`` call as in the build: each side's
-window is where its half field is the larger, and its points'
+from the same ``_sparsify_fields`` call as in the build, on a reach of
+its own: the larger of the evidence prefix's end and every check's
+``member_point + distance``, at most the window.  A check at ``l``
+with distance ``d`` reads only side points in ``[l - d, l + d]``, and
+the fields are exact on every prefix, so the verdict is the window's;
+a reach below the window holds the evidence prefix, so at least 128
+pivot points, and neither half field is empty there.  Only a check
+with an empty candidate, which claims emptiness up to the window, or a
+forged distance that reaches it, sizes the fields to the window.  Each
+side's window is where its half field is the larger, and its points'
 distances to the pivot are the pivot's field there.  The coverage
 verdict must be the build's, read from the half fields over the same
 evidence prefix.  A member point passes where the pivot's field is 0.
@@ -89,10 +97,11 @@ from .structures import (
 from .verdict import TriVerdict
 
 
-# The build's windows and fields reach past 4096 only as far as its
-# checks and coverage evidence need (see the module docstring).
-# ``revalidate`` still builds them over [0, window]: at the cap, about
-# 0.7 GB for the naturals.
+# The windows and fields of the build and of ``revalidate`` reach only
+# as far as the checks and the coverage evidence need (see the module
+# docstring).  A check with an empty candidate, or a forged distance,
+# sizes ``revalidate``'s fields to the window: at the cap, about 0.7 GB
+# for the naturals.
 WINDOW_CAP = 10**7
 # The least reach the build starts from; it doubles from there.
 _REACH = 4096
@@ -215,13 +224,17 @@ class BunchObstruction:
         sides = tuple(ls.BlocksSet("nearer-side", (s,), halves, ("divergent",)) for s in (0, 1))
         if (self.half1, self.half2) != halves or (self.side1, self.side2) != sides:
             return False
-        lw, field, field1, field2 = ls._sparsify_fields(pivot, window)
-        if field1 is None or field2 is None:
-            return False
         scale, side, point, dist = table.T
         empty = np.array([c.distance_to_candidate is None for c in checks], dtype=bool)
-        # two points of [0, window] lie at most window apart
-        if ((point < 0) | (point > window - scale) | (dist > window)).any() or field[point].any():
+        # two points of [0, window] lie at most window apart; a negative
+        # distance would size the reach below its own member point
+        if ((point < 0) | (point > window - scale) | (dist < 0) | (dist > window)).any():
+            return False
+        top = _evidence_top(pivot, window)
+        # only an empty candidate claims something up to the window
+        reach = window if empty.any() else min(window, max(top, int((point + dist).max())))
+        _, field, field1, field2 = ls._sparsify_fields(pivot, reach)
+        if field1 is None or field2 is None or field[point].any():
             return False
         for s, in_side in enumerate((field1 >= field2, field2 >= field1)):
             mine = side == s
@@ -240,14 +253,13 @@ class BunchObstruction:
             exact = (d > k) & (left | right) & ((lo >= hi) | (inner > k))
             if not np.where(empty[mine], near.min() > k, exact).all():
                 return False
-        top = _evidence_top(lw, window)
         return self.coverage == ls._split_verdict(field1[: top + 1], field2[: top + 1], window)
 
 
-def _evidence_top(pivot_points: np.ndarray, window: int) -> int:
+def _evidence_top(pivot: ls.PeriodicSet, window: int) -> int:
     """The end of the prefix of ``[0, window]`` that holds all coverage
-    evidence, from ``pivot_points``: the pivot's points up to the window,
-    or at least its first 128.
+    evidence for the infinite periodic ``pivot``: the window, or 64 past
+    the pivot's 128th point where that lies below it.
 
     The evidence's scales are at most 32, so a point that counts lies
     within 32 of both sparsify halves, whose points there lie within 64
@@ -258,9 +270,12 @@ def _evidence_top(pivot_points: np.ndarray, window: int) -> int:
     plus 32, and the evidence of a prefix reaching 64 past that point is
     the evidence of the whole window.  The build and ``revalidate`` both
     read the evidence from this prefix."""
-    if pivot_points.size < 128:
+    # past N0 the pivot's shortest progression alone gives one point per step
+    step = min(p for _, p in pivot.progressions)
+    low = pivot.window_array(min(window, pivot.stabilization_base() + 128 * step))
+    if low.size < 128:
         return window
-    return min(window, int(pivot_points[127]) + 64)
+    return min(window, int(low[127]) + 64)
 
 
 def _nearest_candidates(
@@ -372,10 +387,7 @@ def bunch_obstruction(
                 )
     pivot = members[0]
     half1, half2 = ls.sparsify_split(pivot)
-    # past N0 the pivot's shortest progression alone gives one point per step
-    step = min(p for _, p in pivot.progressions)
-    low = pivot.window_array(min(window, pivot.stabilization_base() + 128 * step))
-    top = _evidence_top(low, window)
+    top = _evidence_top(pivot, window)
     reach = max(min(window, _REACH), top)
     while True:
         lw_pad, field, field1, field2 = ls._sparsify_fields(pivot, reach)

@@ -59,9 +59,6 @@ class Universe:
     def subset_from_mask(self, mask: int) -> "Subset":
         return Subset(self, mask)
 
-    def full_subset(self) -> "Subset":
-        return Subset(self, (1 << self.size) - 1)
-
     def family(self, subsets: Iterable["Subset" | Iterable[str]]) -> "Family":
         members = []
         for s in subsets:

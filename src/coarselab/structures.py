@@ -623,10 +623,6 @@ class ExplicitASR:
         return cls(universe, tuple(range(_slots(universe))))
 
     @classmethod
-    def one_block(cls, universe: Universe) -> "ExplicitASR":
-        return cls(universe, tuple(0 for _ in range(_slots(universe))))
-
-    @classmethod
     def from_blocks(cls, universe: Universe, blocks: list[list[int]]) -> "ExplicitASR":
         ids = [-1] * _slots(universe)
         for i, block in enumerate(blocks):
@@ -773,17 +769,6 @@ def check_coarse(c: ExplicitCoarse) -> tuple[tuple[int, ...], CheckReport]:
         ),
     )
     return m_rel, CheckReport("coarse relation closure", results)
-
-
-def partition_from_relation(universe: Universe, rows: tuple[int, ...]) -> list[int]:
-    """Blocks (element masks) of an equivalence given by row masks."""
-    seen: set[int] = set()
-    blocks = []
-    for i in range(universe.size):
-        if rows[i] not in seen:
-            seen.add(rows[i])
-            blocks.append(rows[i])
-    return sorted(blocks)
 
 
 # ---------------------------------------------------------------------------

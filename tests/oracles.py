@@ -28,7 +28,7 @@ from coarselab.maps import ExplicitMap, is_ls_equivalence
 from coarselab.mining import all_partitions, universe_of_size
 from coarselab.nearness_lab import BunchObstruction, ObstructionBudgetExhausted, ScaleCheck
 from coarselab.setcore import Family, Subset, Universe
-from coarselab.structures import ExplicitLSR, ExplicitNearness, _two_part_splits
+from coarselab.structures import ExplicitASR, ExplicitLSR, ExplicitNearness, _two_part_splits
 from coarselab.verdict import TriVerdict
 
 
@@ -475,6 +475,21 @@ def _covers(k1: int, k2: int, fam_key: int) -> bool:
 # ---------------------------------------------------------------------------
 # Test-side constructors and the equivalence sweeps
 # ---------------------------------------------------------------------------
+
+
+def full_subset(universe: Universe) -> Subset:
+    """The subset that holds every element of ``universe``."""
+    return universe.subset_from_mask((1 << universe.size) - 1)
+
+
+def one_block_asr(universe: Universe) -> ExplicitASR:
+    """The equivalence with all subsets of ``universe`` in one block."""
+    return ExplicitASR(universe, (0,) * (1 << universe.size))
+
+
+def partition_from_relation(universe: Universe, rows: tuple[int, ...]) -> list[int]:
+    """Blocks (element masks) of an equivalence given by row masks."""
+    return sorted(set(rows[: universe.size]))
 
 
 def partition_backend(universe: Universe, blocks: Iterable[Iterable[str]]) -> PartitionCoarseBackend:

@@ -333,8 +333,12 @@ def _delete(path):
     return edit
 
 
+# the first line set of the first near query: the periodic evens
+NEAR_SET = ["queries", "near", 0, "sets", 0]
+
 # (command, edit of the line document, the schema error it gives): each
-# edit once ended in a traceback, or in the bare text of a KeyError
+# edit once ended in a traceback, in the bare text of a KeyError or in
+# Python's own text, or (a numeric string) was read as an integer
 LINE_DOCUMENT_EDITS = {
     "bunch-queries-string": (
         "bunch", _set(["queries", "bunch"], "zz"), "queries.bunch must be a list, not 'zz'"
@@ -375,6 +379,63 @@ LINE_DOCUMENT_EDITS = {
         "asdim", _set(["budgets", "asdim_windows"], 5), "budgets.asdim_windows must be a list, not 5"
     ),
     "near-sets-number": ("near", _set(["queries", "near", 0, "sets"], 5), "line sets must be a list, not 5"),
+    **{
+        f"progression-{name}": (
+            "near",
+            _set(NEAR_SET + ["progressions", 0], value),
+            f"set 0: progressions[0] must be a pair of integers, not {value!r}",
+        )
+        for name, value in (
+            ("number", 5), ("empty", []), ("triple", [1, 2, 3]), ("string", [1, "2"]), ("bool", [1, True])
+        )
+    },
+    "progressions-number": (
+        "near", _set(NEAR_SET + ["progressions"], 5), "set 0: progressions must be a list, not 5"
+    ),
+    "finite-part-string": (
+        "near", _set(NEAR_SET + ["finite"], ["3"]), "set 0: finite[0] must be an integer, not '3'"
+    ),
+    "removals-bool": (
+        "near", _set(NEAR_SET + ["removals"], [True]), "set 0: removals[0] must be an integer, not True"
+    ),
+    "elements-string": (
+        "near",
+        _set(["queries", "near", 1, "sets", 0, "elements"], ["1"]),
+        "set 0: elements[0] must be an integer, not '1'",
+    ),
+    "second-set-progression-string": (
+        "near",
+        _set(["queries", "near", 0, "sets", 1, "progressions", 0], [1, "2"]),
+        "set 1: progressions[0] must be a pair of integers, not [1, '2']",
+    ),
+    "geometric-m-string": (
+        "near",
+        _set(NEAR_SET, {"kind": "geometric", "m": "2", "b": 2, "k0": 0}),
+        "set 0: m must be an integer, not '2'",
+    ),
+    "blocks-rule-list": (
+        "near", _set(NEAR_SET, {"kind": "blocks", "rule": [], "ints": [1]}), "set 0: rule must be a string, not []"
+    ),
+    "blocks-gaps-empty": (
+        "near",
+        _set(NEAR_SET, {"kind": "blocks", "rule": "doubling-blocks", "ints": [1], "gaps": []}),
+        "set 0: gaps must not be empty",
+    ),
+    "blocks-set-number": (
+        "near",
+        _set(NEAR_SET, {"kind": "blocks", "rule": "sparsify-half", "ints": [0], "sets": [5]}),
+        "set 0: sets[0] must be an object, not 5",
+    ),
+    "blocks-nested-progression-string": (
+        "near",
+        _set(
+            NEAR_SET,
+            {"kind": "blocks", "rule": "sparsify-half", "ints": [0], "sets": [
+                {"kind": "periodic", "progressions": [[0, "2"]]}
+            ]},
+        ),
+        "set 0: sets[0].progressions[0] must be a pair of integers, not [0, '2']",
+    ),
     "bunch-sets-number": ("bunch", _set(["queries", "bunch", 0, "sets"], 5), "line sets must be a list, not 5"),
 }
 

@@ -74,6 +74,7 @@ from coarselab.structures import (
 from coarselab.verdict import TriVerdict
 
 from digests import GOLDEN_DIR, assert_golden, canonical, write_golden
+from oracles import one_block_asr
 
 GOLDEN = GOLDEN_DIR / "finite.sha256"
 
@@ -266,7 +267,7 @@ def _asrs():
         u = universe_of_size(n)
         m = 1 << n
         yield f"identity{n}", ExplicitASR.identity(u)
-        yield f"one-block{n}", ExplicitASR.one_block(u)
+        yield f"one-block{n}", one_block_asr(u)
         for y in range(m) if n < 4 else (0b0011, 0b0110):
             yield f"projection{n}:{y}", ExplicitASR(u, tuple(s & y for s in range(m)))
         for seed in range(6 if n < 4 else 2):

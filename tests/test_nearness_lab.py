@@ -12,6 +12,7 @@ from coarselab.nearness_lab import (
     ObstructionBudgetExhausted,
     ObstructionRejected,
     ScaleCheck,
+    _evidence_top,
     _scale_checks,
     bunch_exists_explicit,
     bunch_obstruction,
@@ -225,6 +226,18 @@ def _claims_a_distance(check):
     return check["distance_to_candidate"] is not None
 
 
+def _edit_last_witness_distance(value):
+    """Set the distance of the check with the largest member point to
+    ``value(doc)``: that check's ``member_point + distance`` is the
+    likeliest to size ``revalidate``'s reach."""
+
+    def edit(doc):
+        check = max(doc["scale_checks"], key=lambda c: c["member_point"])
+        check["distance_to_candidate"] = value(doc)
+
+    return edit
+
+
 REJECTED_EDITS = {
     "pivot": _edit_pivot,
     "half1": _edit_half1,
@@ -244,6 +257,8 @@ REJECTED_EDITS = {
     "distance_to_candidate_scale": _edit_check(
         "distance_to_candidate", lambda c: c["scale"], _claims_a_distance
     ),
+    "distance_to_candidate_negative": _edit_last_witness_distance(lambda doc: -doc["window"]),
+    "distance_to_candidate_window": _edit_last_witness_distance(lambda doc: doc["window"]),
     # read as an int64, it would be the genuine point
     "member_point_fraction": _edit_check("member_point", lambda c: c["member_point"] + 0.5),
     # a list among the fields cannot be read as one integer table
@@ -286,6 +301,20 @@ def count_window_builds(monkeypatch) -> list[tuple[ls.LineSet, int]]:
 
         monkeypatch.setattr(cls, "window_array", counted)
     return builds
+
+
+def record_field_reaches(monkeypatch) -> list[int]:
+    """Record the reach of every ``lineset._sparsify_fields`` call from
+    here on."""
+    reaches = []
+    fields = ls._sparsify_fields
+
+    def recorded(pivot, hi):
+        reaches.append(hi)
+        return fields(pivot, hi)
+
+    monkeypatch.setattr(ls, "_sparsify_fields", recorded)
+    return reaches
 
 
 class TestRevalidate:
@@ -337,12 +366,47 @@ class TestRevalidate:
             cert.revalidate()
         assert builds == []
 
-    def test_genuine_builds_no_side_window_and_the_pivot_window_once(self, monkeypatch):
-        cert = bunch_obstruction([ls.evens(), ls.odds()], 32, 10**4)
+    def test_genuine_at_the_cap_builds_within_its_reach(self, monkeypatch):
+        # The checks of {evens, odds} at scale 32 read points below 200,
+        # and the coverage evidence ends at 318: at the cap, revalidate
+        # builds its fields on that reach and nothing past its padding.
+        cert = bunch_obstruction([ls.evens(), ls.odds()], 32, WINDOW_CAP)
+        reach = max(
+            _evidence_top(cert.pivot, cert.window),
+            *(c.member_point + c.distance_to_candidate for c in cert.scale_checks),
+        )
+        reaches = record_field_reaches(monkeypatch)
         builds = count_window_builds(monkeypatch)
         assert cert.revalidate()
+        assert reaches == [reach] and reach < 1000
         assert not [s for s, _ in builds if isinstance(s, ls.BlocksSet)]
-        assert [s for s, hi in builds if hi >= cert.window] == [cert.pivot]
+        # the largest is the pivot's window padded for the halves' fields
+        assert builds and max(hi for _, hi in builds) <= 5 * reach + 64
+
+    @pytest.mark.parametrize(
+        "kind, reach",
+        [
+            ("distance_to_candidate_negative", None),
+            ("distance_to_candidate_window", 2000),
+            ("distance_to_candidate_none", 2000),
+        ],
+    )
+    def test_forged_distance_reach(self, genuine, monkeypatch, kind, reach):
+        # A negative distance is rejected before any field is built; one
+        # that reaches the window, or an empty candidate, sizes the
+        # fields to the window, and is rejected there.
+        reaches = record_field_reaches(monkeypatch)
+        assert self.revalidate_edited(genuine, REJECTED_EDITS[kind]) is False
+        assert reaches == ([] if reach is None else [reach])
+
+    def test_negative_distances_past_the_evidence_rejected(self):
+        # Witnesses at budget 1500 lie past 7000, and the evidence prefix
+        # ends at 318: negative distances must not size the fields below
+        # the member points they are read at.
+        doc = bunch_obstruction([ls.evens(), ls.odds()], 1500, 10**4).to_json()
+        for c in doc["scale_checks"]:
+            c["distance_to_candidate"] = -c["distance_to_candidate"]
+        assert BunchObstruction.from_json(doc).revalidate() is False
 
 
 def _residue_family(rng: random.Random, q: int) -> list[ls.LineSet]:
@@ -402,11 +466,32 @@ def _reference_verdict(cert) -> bool:
         return False
 
 
+def _compare_with_the_reference(rng: random.Random, cert, edit_verdicts: dict) -> int:
+    """Assert that ``revalidate`` accepts ``cert`` as the reference does,
+    and agrees with it on seeded edits of its checks; the number of
+    certificates and edits compared."""
+    assert cert.revalidate() and _reference_verdict(cert)
+    doc = cert.to_json()
+    compared = 1
+    for edit in _check_edits(rng, doc["scale_checks"], cert.pivot.period()):
+        forged = json.loads(json.dumps(doc))
+        for i, key, value in edit:
+            forged["scale_checks"][i][key] = value
+        edited = BunchObstruction.from_json(forged)
+        verdict = edited.revalidate()
+        assert verdict == _reference_verdict(edited), forged
+        edit_verdicts[verdict] += 1
+        compared += 1
+    return compared
+
+
 def test_revalidate_agrees_with_the_reference_checker():
     """The derived-field checker against the stored-set reference, on
     seeded certificates for residue families mod 2q (q = 1..8) and for
     pivots with several progressions, finite parts and removals, at
-    windows from 4 to 1e4, and on single-field edits of their checks."""
+    windows from 4 to 1e4, and on single-field edits of their checks;
+    then on three certificates at windows 1e5 to 1e6, whose checks and
+    evidence reach a small part of the window."""
     rng = random.Random(20261019)
     edit_verdicts = {True: 0, False: 0}
     windows = []
@@ -419,21 +504,19 @@ def test_revalidate_agrees_with_the_reference_checker():
             cert = bunch_obstruction(family, rng.randint(0, min(16, window // 8)), window)
         except ObstructionRejected:  # the window ran out: no certificate
             continue
-        assert cert.revalidate() and _reference_verdict(cert)
         windows.append(window)
-        doc = cert.to_json()
-        for edit in _check_edits(rng, doc["scale_checks"], family[0].period()):
-            forged = json.loads(json.dumps(doc))
-            for i, key, value in edit:
-                forged["scale_checks"][i][key] = value
-            edited = BunchObstruction.from_json(forged)
-            verdict = edited.revalidate()
-            assert verdict == _reference_verdict(edited), forged
-            edit_verdicts[verdict] += 1
-            compared += 1
-        compared += 1
+        compared += _compare_with_the_reference(rng, cert, edit_verdicts)
     assert min(edit_verdicts.values()) > 10  # both verdicts occur
     assert min(windows) <= 12 and max(windows) > 5000
+    wide = [
+        ([ls.arithmetic(r, 6) for r in (0, 1, 3)], 32, 10**5),
+        (_mixed_family(random.Random(3)), 16, 3 * 10**5),
+        (_sparse_pivot_family(random.Random(1)), 32, 10**6),
+    ]
+    for family, budget, window in wide:
+        cert = bunch_obstruction(family, budget, window)
+        assert max(c.member_point for c in cert.scale_checks) < window // 100
+        _compare_with_the_reference(rng, cert, edit_verdicts)
 
 
 def _sparse_pivot_family(rng: random.Random) -> list[ls.LineSet]:
@@ -472,15 +555,8 @@ class TestReach:
         # reach doubles, and the narrower windows run out.
         cases = [(f, b, w) for f in self.FAMILIES for b in (8, 32) for w in self.WINDOWS]
         cases += [([ls.evens(), ls.odds()], 1500, w) for w in self.WINDOWS]
-        reaches = []
-        fields = ls._sparsify_fields
-
-        def recorded(pivot, hi):
-            reaches.append(hi)
-            return fields(pivot, hi)
-
         with monkeypatch.context() as m:
-            m.setattr(ls, "_sparsify_fields", recorded)
+            reaches = record_field_reaches(m)
             built = [_built_or_exhausted(bunch_obstruction, *case) for case in cases]
         for case, got in zip(cases, built):
             assert got == _built_or_exhausted(bunch_obstruction_reference, *case), case

@@ -25,13 +25,18 @@ from coarselab.structures import (
     is_bunch,
     is_h_nearness,
     is_ls_regular,
-    partition_from_relation,
     proximal_nearness,
     topological_nearness,
     validate_closure_table,
 )
 
-from oracles import is_ls_regular_reference, nearness_from_predicate
+from oracles import (
+    full_subset,
+    is_ls_regular_reference,
+    nearness_from_predicate,
+    one_block_asr,
+    partition_from_relation,
+)
 
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
@@ -299,7 +304,7 @@ class TestAsr:
         assert check_asr_axioms(ExplicitASR.identity(U3)).passed
 
     def test_one_block(self):
-        assert check_asr_axioms(ExplicitASR.one_block(U3)).passed
+        assert check_asr_axioms(one_block_asr(U3)).passed
 
     def test_empty_vs_nonempty_blocks_valid(self):
         m = 1 << U2.size
@@ -400,7 +405,7 @@ class TestRestrict:
 
     def test_restriction_to_full_universe_is_identity(self):
         c = abc_instance()
-        sub = c.restrict(U3.full_subset())
+        sub = c.restrict(full_subset(U3))
         assert sub.keys == c.keys
 
     def test_cap(self):
