@@ -336,6 +336,11 @@ def _parameter(desc: dict, key: str, default: int | None = None) -> int:
         raise ValueError(f"{key!r} must be an integer, not {desc[key]!r}") from None
 
 
+# The largest integer that a line-set field may hold: below the top of
+# the int64 windows that the line layer scans to (``1 << 62`` in
+# ``MetricLineBackend.bounded`` and ``lineset._directed_distances``).
+LINE_INTEGER_TOP = (1 << 62) - 1
+
 # line-set kind -> (its fields that are lists of integers, its integer fields)
 _LINE_SET_INTEGERS = {
     "finite": (("elements",), ()),
@@ -345,22 +350,29 @@ _LINE_SET_INTEGERS = {
 }
 
 
+def _line_integer(value: Any, name: str) -> None:
+    if _integer(value, name) > LINE_INTEGER_TOP:
+        raise SchemaError(f"{name} must be at most {LINE_INTEGER_TOP}, not {value}")
+
+
 def _check_line_set(desc: dict, path: str = "") -> None:
     """A schema error naming the path of the first field of the line-set
-    node ``desc``, or of a set nested in it, that has the wrong type.
-    Missing fields and values out of range are left to the line-set
-    layer."""
+    node ``desc``, or of a set nested in it, that has the wrong type or
+    an integer above ``LINE_INTEGER_TOP``.  Missing fields and other
+    values out of range are left to the line-set layer."""
     kind = desc.get("kind")
     lists, scalars = _LINE_SET_INTEGERS.get(kind, ((), ()))
     for key in (k for k in lists if k in desc):
         for j, n in enumerate(_list(desc[key], f"{path}{key}")):
-            _integer(n, f"{path}{key}[{j}]")
+            _line_integer(n, f"{path}{key}[{j}]")
     for key in (k for k in scalars if k in desc):
-        _integer(desc[key], f"{path}{key}")
+        _line_integer(desc[key], f"{path}{key}")
     if kind == "periodic":
         for j, ap in enumerate(_list(desc.get("progressions", []), f"{path}progressions")):
             if not isinstance(ap, list) or len(ap) != 2 or not all(_is_integer(n) for n in ap):
                 raise SchemaError(f"{path}progressions[{j}] must be a pair of integers, not {ap!r}")
+            for k, n in enumerate(ap):
+                _line_integer(n, f"{path}progressions[{j}][{k}]")
     if kind == "blocks":
         if not isinstance(desc.get("rule", ""), str):
             raise SchemaError(f"{path}rule must be a string, not {desc['rule']!r}")

@@ -2,7 +2,7 @@
 
 A record is a label and a text, usually canonical JSON.  A golden test
 recomputes its records and compares them line by line with its file
-under ``golden/``; a mismatch names the first differing record.
+under ``golden/``; a mismatch names every differing record.
 """
 
 from __future__ import annotations
@@ -34,14 +34,18 @@ def golden_digest(path: Path, label: str) -> str:
 
 def assert_golden(path: Path, records: Iterable[tuple[str, str]], skip: tuple[str, ...] = ()) -> None:
     """Every record reproduces its golden line, in order; labels in
-    ``skip`` are checked by another test and not recomputed here."""
+    ``skip`` are checked by another test and not recomputed here.  A
+    failure lists every differing record, and a difference in count."""
     expected = [line for line in path.read_text().splitlines() if line.partition("  ")[2] not in skip]
-    got = 0
-    for want, (label, text) in zip(expected, records):
-        line = digest_line(label, text)
-        assert line == want, f"{path.name} record {got} differs: {line!r}, golden {want!r}; now {text[:400]}"
-        got += 1
-    assert got == len(expected), f"{got} records, {path.name} has {len(expected)}"
+    records = list(records)
+    differing = [
+        f"record {i} {label!r}: {line!r}, golden {want!r}; now {text[:400]}"
+        for i, (want, (label, text)) in enumerate(zip(expected, records))
+        if (line := digest_line(label, text)) != want
+    ]
+    if len(records) != len(expected):
+        differing.append(f"{len(records)} records, {path.name} has {len(expected)}")
+    assert not differing, f"{path.name} differs:\n" + "\n".join(differing)
 
 
 def write_golden(path: Path, records: Iterable[tuple[str, str]]) -> None:

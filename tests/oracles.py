@@ -24,7 +24,7 @@ from coarselab import _bitops as bo
 from coarselab.backends import MetricLineBackend, NearnessQuery, PartitionCoarseBackend, nearness_of
 from coarselab import lineset as ls
 from coarselab.lineset import PeriodicSet, _cushion, _distances_to, _padded_window
-from coarselab.maps import ExplicitMap, is_ls_equivalence
+from coarselab.maps import ExplicitMap, LineMap, displacement_bound, is_ls_equivalence
 from coarselab.mining import all_partitions, universe_of_size
 from coarselab.nearness_lab import BunchObstruction, ObstructionBudgetExhausted, ScaleCheck
 from coarselab.setcore import Family, Subset, Universe
@@ -391,6 +391,85 @@ def preimage_mask_reference(f: ExplicitMap, mask: int) -> int:
         if mask >> t & 1:
             out |= 1 << i
     return out
+
+
+# The fixed pool of exact line sets that the sampled line-map checks draw
+# their member families from.
+LINE_SAMPLE_POOL = (
+    ls.evens(),
+    ls.odds(),
+    ls.arithmetic(0, 3),
+    ls.arithmetic(1, 3),
+    ls.arithmetic(2, 4),
+    ls.naturals(),
+    ls.arithmetic(3, 5),
+    ls.FiniteSet((0, 1, 2)),
+    ls.FiniteSet((5,)),
+    ls.FiniteSet((7, 40)),
+)
+
+
+def _sampled_member_families(max_size: int):
+    """Member families of the metric line drawn from ``LINE_SAMPLE_POOL``,
+    of 1 to ``max_size`` sets."""
+    backend = MetricLineBackend()
+    for r in range(1, max_size + 1):
+        for fam in itertools.combinations(LINE_SAMPLE_POOL, r):
+            if backend.member(list(fam)).is_yes:
+                yield list(fam)
+
+
+def sampled_is_lsr_map(f: LineMap) -> TriVerdict:
+    """A line map's structure-map check by sampling: No for a zero slope,
+    else No at the first sampled member family of up to 3 sets whose
+    image family is not a member."""
+    num, den = f.slope()
+    if num == 0:
+        return TriVerdict.no(
+            reason="unbounded-preimage",
+            bounded_set=[f.apply(0)],
+            note="constant map pulls a point back to the whole line",
+        )
+    backend = MetricLineBackend()
+    checked = 0
+    for fam in _sampled_member_families(3):
+        images = [f.image_of(s) for s in fam]
+        if not backend.member(images).is_yes:
+            return TriVerdict.no(
+                reason="image-not-member",
+                family=[s.to_json() for s in fam],
+                image=[s.to_json() for s in images],
+            )
+        checked += 1
+    return TriVerdict.yes(sampled_families=checked, slope=f"{num}/{den}")
+
+
+def sampled_is_ls_equivalence(f: LineMap, g: LineMap) -> TriVerdict:
+    """A line-map equivalence check by sampling: both maps pass
+    ``sampled_is_lsr_map``, both round trips have a displacement bound,
+    and each round trip absorbs every sampled member family of up to 2
+    sets into the union with its image."""
+    for reason, h in (("forward-not-structure-map", f), ("backward-not-structure-map", g)):
+        v = sampled_is_lsr_map(h)
+        if not v.is_yes:
+            return TriVerdict.no(reason=reason, inner=dict(v.witness))
+    comps, bounds = [], {}
+    for direction, there, back in (("domain", f, g), ("codomain", g, f)):
+        comps.append(back.compose(there))
+        bound = displacement_bound(comps[-1])
+        if not bound.is_yes:
+            return TriVerdict.no(
+                reason="roundtrip-displacement-diverges", direction=direction, inner=dict(bound.witness)
+            )
+        bounds[f"displacement_{direction}"] = bound.witness["bound"]
+    backend = MetricLineBackend()
+    checked = 0
+    for comp in comps:
+        for fam in _sampled_member_families(2):
+            if not backend.member(fam + [comp.image_of(s) for s in fam]).is_yes:
+                return TriVerdict.no(reason="roundtrip-not-absorbed", family=[s.to_json() for s in fam])
+            checked += 1
+    return TriVerdict.yes(**bounds, sampled_families=checked)
 
 
 def first_refiner(refiners: list[tuple[int, list[int]]], key: int) -> int | None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from coarselab import cli
 from coarselab.backends import PartitionCoarseBackend
 from coarselab.cli import json_text, main
-from coarselab.documents import SchemaError, load_document
+from coarselab.documents import LINE_INTEGER_TOP, SchemaError, load_document
 from coarselab.setcore import CapExceeded, Universe
 
 from test_golden_cli import cli_runs
@@ -437,6 +437,22 @@ LINE_DOCUMENT_EDITS = {
         "set 0: sets[0].progressions[0] must be a pair of integers, not [0, '2']",
     ),
     "bunch-sets-number": ("bunch", _set(["queries", "bunch", 0, "sets"], 5), "line sets must be a list, not 5"),
+    # integers past the top of the line layer's int64 windows
+    "elements-huge": (
+        "near",
+        _set(["queries", "near", 1, "sets", 0, "elements"], [10**30]),
+        f"set 0: elements[0] must be at most {LINE_INTEGER_TOP}, not {10**30}",
+    ),
+    "bunch-period-huge": (
+        "bunch",
+        _set(["queries", "bunch", 0, "sets", 0, "progressions", 0], [0, 2**70]),
+        f"set 0: progressions[0][1] must be at most {LINE_INTEGER_TOP}, not {2**70}",
+    ),
+    "geometric-m-huge": (
+        "near",
+        _set(NEAR_SET, {"kind": "geometric", "m": 2**62, "b": 2, "k0": 0}),
+        f"set 0: m must be at most {LINE_INTEGER_TOP}, not {2**62}",
+    ),
 }
 
 
@@ -451,6 +467,25 @@ class TestLineDocumentFields:
         path.write_text(json.dumps(doc))
         assert main([command, str(path), "--window", "2000"]) == 2
         assert capsys.readouterr().err == f"schema error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, field, value, code",
+        [
+            ("near", ["queries", "near", 1, "sets", 0, "elements"], [LINE_INTEGER_TOP], 0),
+            ("near", NEAR_SET + ["progressions", 0], [LINE_INTEGER_TOP, 2], 0),
+            ("near", NEAR_SET + ["progressions", 0], [0, LINE_INTEGER_TOP], 0),
+            ("bunch", ["queries", "bunch", 0, "sets", 0, "progressions", 0], [LINE_INTEGER_TOP, 2], 1),
+            ("bunch", ["queries", "bunch", 0, "sets", 0, "progressions", 0], [0, LINE_INTEGER_TOP], 1),
+        ],
+        ids=["near-element", "near-start", "near-period", "bunch-start", "bunch-period"],
+    )
+    def test_integer_at_the_top_is_answered(self, tmp_path, capsys, command, field, value, code):
+        doc = json.loads(NAT_LINE.read_text())
+        _set(field, value)(doc)
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--window", "2000"]) == code
+        assert capsys.readouterr().err == ""
 
     def test_map_parameters_read_as_integers(self, tmp_path, capsys):
         # int() reads a parameter, so a numeric string still gives the map
@@ -658,6 +693,42 @@ class TestMap:
         code, out = run_cli(["map", str(NAT_LINE)], capsys)
         assert code == 0
         assert "equivalence with inverse: yes" in out
+
+    def test_line_witnesses_are_the_slope_and_the_displacement_bounds(self, capsys):
+        code, out = run_cli(["map", str(NAT_LINE), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["details"] == [
+            {"map": 0, "structure_map": {"outcome": "yes", "witness": {"slope": "2/1"}}},
+            {"map": 0, "equivalence": {"outcome": "yes", "witness": {"displacement_domain": 0, "displacement_codomain": 1}}},
+        ]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"rule": "floor-div", "d": 10**9, "inverse": {"rule": "affine", "a": 10**9}},
+            {"rule": "floor-div", "d": 10**30, "inverse": {"rule": "affine", "a": 10**30}},
+            {"rule": "affine", "a": 1, "b": 10**12, "inverse": {"rule": "affine", "a": 1}},
+        ],
+        ids=["d-1e9", "d-1e30", "b-1e12"],
+    )
+    def test_displacement_scan_past_the_cap_exits_three(self, tmp_path, capsys, edit):
+        doc = json.loads(NAT_LINE.read_text())
+        doc["maps"][0] = {"name": "m", **edit}
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(doc))
+        assert main(["map", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("cap exceeded: displacement scan to ")
+
+    def test_displacement_scan_below_the_cap_is_exact(self, tmp_path, capsys):
+        doc = json.loads(NAT_LINE.read_text())
+        doc["maps"][0] = {"name": "m", "rule": "floor-div", "d": 10**6, "inverse": {"rule": "affine", "a": 10**6}}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["map", str(path), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["details"][1]["equivalence"] == {
+            "outcome": "yes", "witness": {"displacement_domain": 999_999, "displacement_codomain": 0}
+        }
 
     def test_diverging_roundtrip_exits_one_with_its_witness(self, tmp_path, capsys):
         doc = json.loads(NAT_LINE.read_text())

@@ -15,11 +15,38 @@ from coarselab.maps import (
 from coarselab.mining import all_partitions, universe_of_size
 from coarselab.setcore import Universe
 
-from oracles import partition_backend, preimage_mask_reference
+from oracles import (
+    partition_backend,
+    preimage_mask_reference,
+    random_periodic,
+    sampled_is_ls_equivalence,
+    sampled_is_lsr_map,
+)
 
 U1 = Universe.of("p")
 U2 = Universe.of("a", "b")
 U3 = Universe.of("a", "b", "c")
+
+
+def random_pipeline(rng: random.Random, least_slope: int = 0) -> LineMap:
+    """1 to 3 seeded stages: affine with a in ``least_slope``..4 and b in
+    0..5, or a floor division by d in 1..4."""
+    return LineMap(tuple(
+        ("affine", rng.randint(least_slope, 4), rng.randint(0, 5)) if rng.random() < 0.5
+        else ("floor-div", rng.randint(1, 4))
+        for _ in range(rng.randint(1, 3))
+    ))
+
+
+def near_inverse(rng: random.Random, f: LineMap) -> LineMap:
+    """The stages of ``f`` undone in reverse order, up to offsets: a floor
+    division by a for an affine stage of slope a >= 1, and an affine
+    stretch by d for a division by d; a zero slope stays as it is."""
+    return LineMap(tuple(
+        ("affine", stage[1], rng.randint(0, 5)) if stage[0] == "floor-div"
+        else ("floor-div", stage[1]) if stage[1] else stage
+        for stage in reversed(f.stages)
+    ))
 
 
 class TestLineMapImages:
@@ -53,6 +80,25 @@ class TestLineMapImages:
     def test_composition(self):
         mp = LineMap.floor_div(3).compose(LineMap.affine(2, 5))
         assert mp.apply(10) == (2 * 10 + 5) // 3
+
+    def test_nonzero_slope_keeps_empty_finite_and_infinite(self):
+        # the premise of the stage rule in the module docstring: seeded
+        # pipelines of nonzero slope on seeded periodic sets (finite parts
+        # and removals included) and finite sets, empty ones among them
+        rng = random.Random(25)
+        top = 2000
+        for _ in range(150):
+            f = random_pipeline(rng, least_slope=1)
+            s = (
+                random_periodic(rng, allow_finite=True) if rng.random() < 0.7
+                else ls.FiniteSet(tuple(rng.sample(range(60), rng.randint(0, 4))))
+            )
+            img = f.image_of(s)
+            assert (img.is_empty(), img.is_finite()) == (s.is_empty(), s.is_finite()), (f, s)
+            # f is nondecreasing, so every n with f(n) < f(top) lies below top
+            cut = f.apply(top) - 1
+            expected = sorted(y for y in {f.apply(n) for n in s.window(top)} if y <= cut)
+            assert img.window(cut) == expected, (f, s)
 
 
 class TestIsLsrMap:
@@ -135,6 +181,34 @@ class TestDisplacement:
     def test_slope_mismatch(self):
         v = displacement_bound(LineMap.affine(2, 0))
         assert v.is_no and v.witness["reason"] == "slope"
+
+
+def _decided(v):
+    """Outcome and witness, without the sample count of the reference."""
+    return v.outcome, {k: x for k, x in v.witness.items() if k != "sampled_families"}
+
+
+class TestSampledReference:
+    def test_stage_rule_agrees_with_the_sampled_checks(self):
+        # seeded pipeline pairs, zero slopes and diverging round trips
+        # among them; every other pair is an inverse up to offsets, so
+        # that bounded round trips are sampled too
+        rng = random.Random(16)
+        outcomes = set()
+        for i in range(40):
+            f = random_pipeline(rng)
+            g = near_inverse(rng, f) if i % 2 else random_pipeline(rng)
+            for h in (f, g):
+                assert _decided(is_lsr_map(h)) == _decided(sampled_is_lsr_map(h)), h
+            v = is_ls_equivalence(f, g)
+            assert _decided(v) == _decided(sampled_is_ls_equivalence(f, g)), (f, g)
+            outcomes.add((v.outcome, v.witness.get("reason")))
+        assert outcomes == {
+            ("yes", None),
+            ("no", "forward-not-structure-map"),
+            ("no", "backward-not-structure-map"),
+            ("no", "roundtrip-displacement-diverges"),
+        }
 
 
 class TestEquivalence:
